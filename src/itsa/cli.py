@@ -41,7 +41,6 @@ class AnalysisConfig:
     arx_max_order: int = 3
     ci_level: float = 0.95
     output_format: str = "table"
-    seed: int | None = None
 
     def validate(self) -> None:
         if not 0.0 < self.ci_level < 1.0:
@@ -67,7 +66,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ci-level", type=float, default=None)
     parser.add_argument("--format", choices=["table", "json", "csv"], default=None)
     parser.add_argument("--config", metavar="PATH", help="JSON config file; flags take precedence")
-    parser.add_argument("--seed", type=int, default=None, help="seed for simulation-backed commands")
 
 
 def _build_config(args: argparse.Namespace) -> AnalysisConfig:
@@ -101,7 +99,6 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         arx_max_order=int(pick(args.arx_max_order, "arx_max_order", 3)),
         ci_level=float(pick(args.ci_level, "ci_level", 0.95)),
         output_format=pick(args.format, "output_format", "table"),
-        seed=pick(args.seed, "seed", None),
     )
     config.validate()
     return config
@@ -249,8 +246,8 @@ def _candidate_sets(confounders: tuple[str, ...]) -> list[tuple[str, ...]]:
     return candidates
 
 
-def _cmd_arx(config: AnalysisConfig, out) -> int:
-    design = _build_case_design(config)
+def _select_and_fit_level_change(config: AnalysisConfig, design: design_mod.DesignMatrix):
+    """Select the ARX baseline, then refit it with the intervention level change added."""
     selection = arx_mod.select_baseline(
         design, config.arx_max_order, _candidate_sets(config.confounders)
     )
@@ -262,11 +259,17 @@ def _cmd_arx(config: AnalysisConfig, out) -> int:
         exogenous_columns=baseline.exogenous_columns + ("intervention",),
         label="full (level change)",
     )
-    full = arx_mod.fit_arx(design, level_spec)
+    return selection, arx_mod.fit_arx(design, level_spec)
+
+
+def _cmd_arx(config: AnalysisConfig, out) -> int:
+    design = _build_case_design(config)
+    selection, full = _select_and_fit_level_change(config, design)
+    baseline = selection.best
     level_test = arx_mod.likelihood_ratio_test(baseline, full)
     trend_spec = arx_mod.ArxSpec(
         order=baseline.order,
-        exogenous_columns=level_spec.exogenous_columns + ("time_after",),
+        exogenous_columns=full.exogenous_columns + ("time_after",),
         label="full (level + trend change)",
     )
     with_trend = arx_mod.fit_arx(design, trend_spec)
@@ -368,16 +371,8 @@ def _cmd_export(config: AnalysisConfig, args, out_path: str) -> int:
     counterfactual = effect_mod.counterfactual_series(fit, design)
     arx_fitted = None
     if args.arx:
-        selection = arx_mod.select_baseline(
-            design, config.arx_max_order, _candidate_sets(config.confounders)
-        )
-        if selection.best is None:
-            raise ItsaError(selection.message)
-        spec = arx_mod.ArxSpec(
-            order=selection.best.order,
-            exogenous_columns=selection.best.exogenous_columns + ("intervention",),
-        )
-        arx_fitted = arx_mod.predict_arx(arx_mod.fit_arx(design, spec), design)
+        _, full = _select_and_fit_level_change(config, design)
+        arx_fitted = arx_mod.predict_arx(full, design)
 
     with open(out_path, "w", encoding="utf-8") as fh:
         header = "week,observed,fitted,counterfactual"
@@ -439,9 +434,6 @@ def run(argv: list[str] | None = None, out=None) -> int:
     try:
         config = _build_config(args)
         if args.command == "data":
-            if args.data_command == "summary" and args.split_week is None and \
-                    config.intervention_week is None:
-                raise ItsaError("data summary needs --split-week or --intervention-week")
             return _cmd_data(config, args, out)
         if args.command == "fit":
             return _cmd_fit(config, out)

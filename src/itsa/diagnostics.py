@@ -89,7 +89,7 @@ def dw_p_value(d: float, design: DesignMatrix) -> DwResult:
     return DwResult(statistic=d, p_value=p, null_mean=mean, null_variance=variance)
 
 
-def acf(series, max_lag: int) -> AcfResult:
+def _autocorrelations(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelations at lags 1..max_lag (biased 1/n denominator)."""
     y = np.asarray(series, dtype=float)
     n = len(y)
@@ -99,12 +99,17 @@ def acf(series, max_lag: int) -> AcfResult:
     denom = float(yc @ yc)
     if denom == 0.0:
         raise FitError("autocorrelation is undefined for a constant series")
-    corr = tuple(float(yc[h:] @ yc[:-h]) / denom for h in range(1, max_lag + 1))
+    return np.array([yc[h:] @ yc[:-h] for h in range(1, max_lag + 1)]) / denom
+
+
+def acf(series, max_lag: int) -> AcfResult:
+    """Sample autocorrelations at lags 1..max_lag with the 95% white-noise band."""
+    corr = _autocorrelations(series, max_lag)
     level = 0.95
-    band = normal_quantile(0.5 + level / 2.0) / n**0.5
+    band = normal_quantile(0.5 + level / 2.0) / len(series) ** 0.5
     return AcfResult(
         lags=tuple(range(1, max_lag + 1)),
-        correlations=corr,
+        correlations=tuple(corr.tolist()),
         band=band,
         level=level,
     )
@@ -120,7 +125,7 @@ def ljung_box(residuals, lags: int, fitted_params: int = 0) -> LjungBoxResult:
         raise FitError(f"need lags > fitted_params, got lags={lags}, fitted_params={fitted_params}")
     if lags >= n / 2:
         raise FitError(f"need lags < n/2, got lags={lags} with n={n}")
-    r = np.array(acf(e, lags).correlations)
+    r = _autocorrelations(e, lags)
     h = np.arange(1, lags + 1)
     q = float(n * (n + 2) * np.sum(r**2 / (n - h)))
     df = lags - fitted_params

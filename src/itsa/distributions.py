@@ -1,176 +1,45 @@
 """Statistical distribution functions used for inference.
 
-Self-contained implementations of the normal, Student-t, and chi-square
-tail probabilities, built on the regularized incomplete gamma and beta
-functions (power series plus Lentz continued fractions). No external
-numerical libraries are involved, so p-values are reproducible
-bit-for-bit across platforms.
+Normal, Student-t and chi-square tail probabilities and quantiles as
+thin wrappers over `scipy.special`, which evaluates them to near
+machine precision. Each wrapper checks its arguments and raises
+`ItsaError` on values outside the distribution's domain.
 """
 
 from __future__ import annotations
 
 import math
 
+from scipy import special
+
 from .errors import ItsaError
 
-_EPS = 1e-15
-_TINY = 1e-300
-_MAX_ITER = 500
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a, x) by power series; converges well for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a, x) by Lentz continued fraction; converges well for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ItsaError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ItsaError(f"argument must be non-negative, got {x}")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
-
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ItsaError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ItsaError(f"argument must be non-negative, got {x}")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (Lentz's method)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ItsaError(f"beta parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ItsaError(f"argument must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    # Use the continued fraction on whichever side converges fastest.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the incomplete gamma identity."""
+    """Standard normal CDF."""
     if math.isnan(z) or math.isinf(z):
         raise ItsaError(f"argument must be finite, got {z}")
-    if z == 0.0:
-        return 0.5
-    half = 0.5 * regularized_lower_gamma(0.5, 0.5 * z * z)
-    return 0.5 + half if z > 0 else 0.5 - half
+    return float(special.ndtr(z))
+
 
 def normal_sf(z: float) -> float:
     """Standard normal survival function 1 - CDF(z)."""
     return normal_cdf(-z)
 
+
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (bisection plus Newton polish)."""
+    """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:
         raise ItsaError(f"probability must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    z = 0.0
-    for _ in range(80):
-        z = 0.5 * (lo + hi)
-        if normal_cdf(z) < p:
-            lo = z
-        else:
-            hi = z
-    # density is safely non-zero over the bisection bracket
-    for _ in range(3):
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        z -= (normal_cdf(z) - p) / pdf
-    return z
+    return float(special.ndtri(p))
+
 
 def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided p-value 2*P(T >= |t|) for Student-t with df degrees of freedom."""
     if df <= 0:
         raise ItsaError(f"degrees of freedom must be positive, got {df}")
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(0.5 * df, 0.5, x)
+    return float(special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+
 
 def chi_square_sf(x: float, df: int) -> float:
     """Chi-square survival function P(X >= x)."""
@@ -178,27 +47,13 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ItsaError(f"degrees of freedom must be a positive integer, got {df}")
     if x < 0:
         raise ItsaError(f"argument must be non-negative, got {x}")
-    return regularized_upper_gamma(0.5 * df, 0.5 * x)
+    return float(special.gammaincc(0.5 * df, 0.5 * x))
+
 
 def chi_square_quantile(prob: float, df: int) -> float:
-    """Value x with P(X <= x) = prob, by bracketed bisection on the SF."""
+    """Value x with P(X <= x) = prob."""
     if df < 1:
         raise ItsaError(f"degrees of freedom must be a positive integer, got {df}")
     if not 0.0 < prob < 1.0:
         raise ItsaError(f"probability must lie in (0, 1), got {prob}")
-    target = 1.0 - prob
-    hi = float(max(df, 1))
-    while chi_square_sf(hi, df) > target:
-        hi *= 2.0
-        if hi > 1e8:
-            break
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi_square_sf(mid, df) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return float(special.chdtri(df, 1.0 - prob))

@@ -72,8 +72,8 @@ class EffectSeries:
         }
 
 
-def _model_vector_and_covariance(fit, design: DesignMatrix):
-    """Coefficient vector, covariance, design columns, and method tag for a fit."""
+def _model_matrices(fit, design: DesignMatrix):
+    """Coefficients, covariance, method tag, and the model and counterfactual matrices."""
     if isinstance(fit, OlsFit):
         names = fit.column_names
         beta = fit.beta
@@ -87,88 +87,80 @@ def _model_vector_and_covariance(fit, design: DesignMatrix):
         method = "arx"
     else:
         raise FitError(f"unsupported fit type {type(fit).__name__}")
-    matrix = np.column_stack([design.column(name) for name in names])
-    return names, beta, cov, matrix, method
+    cols = [design.column_index(name) for name in names]
+    return beta, cov, method, design.matrix[:, cols], design.zero_intervention().matrix[:, cols]
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     """Linear predictions with the intervention columns zeroed everywhere."""
     if not design.intervention_columns:
         raise DesignError("design does not declare its intervention columns")
-    names, beta, _, _, _ = _model_vector_and_covariance(fit, design)
-    cf_design = design.zero_intervention()
-    matrix = np.column_stack([cf_design.column(name) for name in names])
-    return matrix @ beta
+    beta, _, _, _, counterfactual = _model_matrices(fit, design)
+    return counterfactual @ beta
+
+
+def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[EffectEstimate, ...]:
+    """Effect estimates at the given row indices of the design, computed together.
+
+    Every quantity is an elementwise product summed per row, with no
+    matrix product, so a row's estimate does not depend on which other
+    rows are requested alongside it.
+    """
+    if not 0.0 < ci_level < 1.0:
+        raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
+    beta, cov, method, model, counterfactual = _model_matrices(fit, design)
+    rows = np.asarray(rows, dtype=int)
+    model_rows = model[rows]
+    cf_rows = counterfactual[rows]
+    intervention_part = model_rows - cf_rows
+
+    fitted = np.sum(model_rows * beta, axis=1)
+    cf = np.sum(cf_rows * beta, axis=1)
+    absolute = np.sum(intervention_part * beta, axis=1)
+    pre = ~np.any(intervention_part, axis=1)  # pre-intervention: zero effect by construction
+    defined = ~pre & (cf > 0)  # relative change needs a positive counterfactual
+
+    # delta method: d/dbeta of 100 * (a'b) / (c'b); 1.0 stands in where it is undefined
+    c = np.where(defined, cf, 1.0)[:, None]
+    gradient = 100.0 * (intervention_part * c - absolute[:, None] * cf_rows) / c**2
+    se = np.sqrt(np.sum(gradient[:, :, None] * cov * gradient[:, None, :], axis=(1, 2)))
+    relative = 100.0 * absolute / c[:, 0]
+    z = normal_quantile(0.5 + ci_level / 2.0)
+
+    estimates = []
+    for i, idx in enumerate(rows):
+        common = dict(
+            week=int(design.weeks[idx]),
+            observed=float(design.outcome[idx]),
+            fitted=float(fitted[i]),
+            counterfactual=float(cf[i]),
+            ci_level=ci_level,
+        )
+        if pre[i]:
+            estimates.append(EffectEstimate(
+                **common, absolute_change=0.0, relative_change=0.0,
+                ci_lower=0.0, ci_upper=0.0, method=method,
+            ))
+        elif not defined[i]:
+            estimates.append(EffectEstimate(
+                **common, absolute_change=float(absolute[i]), relative_change=None,
+                ci_lower=None, ci_upper=None, method=method + ":relative-undefined",
+            ))
+        else:
+            estimates.append(EffectEstimate(
+                **common, absolute_change=float(absolute[i]), relative_change=float(relative[i]),
+                ci_lower=float(relative[i] - z * se[i]), ci_upper=float(relative[i] + z * se[i]),
+                method=method + ":delta",
+            ))
+    return tuple(estimates)
 
 
 def effect_at(fit, design: DesignMatrix, week: int, ci_level: float = 0.95) -> EffectEstimate:
     """Effect estimate at one week, with a delta-method CI on the percentage."""
-    if not 0.0 < ci_level < 1.0:
-        raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
     weeks = design.weeks
     if not weeks[0] <= week <= weeks[-1]:
         raise DesignError(f"week {week} outside design range [{weeks[0]:g}, {weeks[-1]:g}]")
-    idx = int(week - weeks[0])
-
-    names, beta, cov, matrix, method = _model_vector_and_covariance(fit, design)
-    cf_design = design.zero_intervention()
-    cf_matrix = np.column_stack([cf_design.column(name) for name in names])
-
-    row = matrix[idx]
-    cf_row = cf_matrix[idx]
-    intervention_part = row - cf_row
-
-    observed = float(design.outcome[idx])
-    fitted = float(row @ beta)
-    counterfactual = float(cf_row @ beta)
-
-    if not np.any(intervention_part):
-        # pre-intervention week: zero effect by construction
-        return EffectEstimate(
-            week=week,
-            observed=observed,
-            fitted=fitted,
-            counterfactual=counterfactual,
-            absolute_change=0.0,
-            relative_change=0.0,
-            ci_level=ci_level,
-            ci_lower=0.0,
-            ci_upper=0.0,
-            method=method,
-        )
-
-    absolute = float(intervention_part @ beta)
-    if counterfactual <= 0:
-        return EffectEstimate(
-            week=week,
-            observed=observed,
-            fitted=fitted,
-            counterfactual=counterfactual,
-            absolute_change=absolute,
-            relative_change=None,
-            ci_level=ci_level,
-            ci_lower=None,
-            ci_upper=None,
-            method=method + ":relative-undefined",
-        )
-
-    relative = 100.0 * absolute / counterfactual
-    # delta method: d/dbeta of 100 * (a'b) / (c'b)
-    gradient = 100.0 * (intervention_part * counterfactual - absolute * cf_row) / counterfactual**2
-    se = float(np.sqrt(gradient @ cov @ gradient))
-    z = normal_quantile(0.5 + ci_level / 2.0)
-    return EffectEstimate(
-        week=week,
-        observed=observed,
-        fitted=fitted,
-        counterfactual=counterfactual,
-        absolute_change=absolute,
-        relative_change=relative,
-        ci_level=ci_level,
-        ci_lower=relative - z * se,
-        ci_upper=relative + z * se,
-        method=method + ":delta",
-    )
+    return _estimates(fit, design, [int(week - weeks[0])], ci_level)[0]
 
 
 def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSeries:
@@ -179,15 +171,15 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
     change stays within a 5-point band (the operational reading of a
     "sustained" effect).
     """
-    post_weeks = [int(w) for w in design.weeks if w >= design.changepoint]
-    if not post_weeks:
+    post_rows = np.flatnonzero(design.weeks >= design.changepoint)
+    if not len(post_rows):
         return EffectSeries(
             estimates=(),
             mean_relative_change=None,
             stabilization_week=None,
             weeks_to_stabilization=None,
         )
-    estimates = tuple(effect_at(fit, design, w, ci_level) for w in post_weeks)
+    estimates = _estimates(fit, design, post_rows, ci_level)
     relatives = [e.relative_change for e in estimates]
     defined = [r for r in relatives if r is not None]
     mean_rel = sum(defined) / len(defined) if defined else None
@@ -199,7 +191,7 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
         for i in range(len(rolling)):
             tail = rolling[i:]
             if tail.max() - tail.min() < STABILIZATION_SPREAD:
-                stabilization_week = post_weeks[i]
+                stabilization_week = estimates[i].week
                 break
     return EffectSeries(
         estimates=estimates,

@@ -9,8 +9,6 @@ from itsa.distributions import (
     normal_cdf,
     normal_quantile,
     normal_sf,
-    regularized_incomplete_beta,
-    regularized_lower_gamma,
     student_t_two_sided_p,
 )
 from itsa.errors import ItsaError
@@ -135,18 +133,3 @@ class TestChiSquare:
         with pytest.raises(ItsaError):
             chi_square_quantile(0.95, 0)
 
-
-class TestBuildingBlocks:
-    def test_incomplete_gamma_bounds(self):
-        for a in (0.5, 1.0, 4.2):
-            for x in (0.0, 0.3, 2.0, 50.0):
-                v = regularized_lower_gamma(a, x)
-                assert 0.0 <= v <= 1.0
-
-    def test_incomplete_beta_symmetry(self, rng):
-        for _ in range(20):
-            a, b = rng.uniform(0.2, 8, size=2)
-            x = rng.uniform(0, 1)
-            lhs = regularized_incomplete_beta(a, b, x)
-            rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)

@@ -209,3 +209,41 @@ class TestEffectSeries:
         series = effect_series(fit_ols(design), design)
         assert series.stabilization_week == 31
         assert series.weeks_to_stabilization == 1
+
+
+class TestSingleEffectPath:
+    """effect_series and effect_at must agree exactly, week by week."""
+
+    @staticmethod
+    def assert_series_matches_single_weeks(fit, design):
+        series = effect_series(fit, design)
+        assert series.estimates
+        for est in series.estimates:
+            assert est == effect_at(fit, design, est.week)
+
+    def test_ols_case_study(self, full_design, full_fit):
+        self.assert_series_matches_single_weeks(full_fit, full_design)
+
+    def test_arx_case_study(self, case_study):
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53), ["occupancy"])
+        fit = fit_arx(design, ArxSpec(2, ("intercept", "occupancy", "intervention")))
+        self.assert_series_matches_single_weeks(fit, design)
+
+    def test_counterfactual_crossing_zero_mixes_defined_and_undefined(self, rng):
+        n = 60
+        weeks = np.arange(1, n + 1)
+        # the counterfactual 12 - 0.3 * week crosses zero at week 40, inside the post period
+        y = 12.0 - 0.3 * weeks + 5.0 * (weeks >= 21) + 0.2 * rng.normal(size=n)
+        design = step_design(y, changepoint=21, extra=weeks, extra_names=("time",))
+        fit = fit_ols(design)
+        series = effect_series(fit, design)
+        self.assert_series_matches_single_weeks(fit, design)
+
+        methods = [e.method for e in series.estimates]
+        assert "ols:delta" in methods and "ols:relative-undefined" in methods
+        for e in series.estimates:
+            assert (e.counterfactual > 0) == (e.method == "ols:delta")
+            assert e.absolute_change == pytest.approx(e.fitted - e.counterfactual, abs=1e-9)
+        defined = [e.relative_change for e in series.estimates if e.relative_change is not None]
+        assert series.mean_relative_change == pytest.approx(sum(defined) / len(defined))
+        assert series.stabilization_week is None
