@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .design import DesignMatrix
 from .diagnostics import ljung_box
@@ -27,6 +26,9 @@ from .errors import FitError
 
 # convergence: sup-norm of the gradient, relative to the objective magnitude
 GRADIENT_TOLERANCE = 1e-8
+STOP_TOLERANCE = 1e-12  # Gauss-Newton keeps stepping until this, 1e-4 x the test above
+MAX_ITERATIONS = 50
+MAX_HALVINGS = 30
 WHITENESS_LAGS = 10
 WHITENESS_ALPHA = 0.05
 
@@ -62,6 +64,7 @@ class ArxFit:
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
     converged: bool
     gradient_norm: float
+    iterations: int  # Gauss-Newton steps taken
     n: int
     n_effective: int
     conditioning: int  # initial observations held fixed (>= order)
@@ -147,10 +150,12 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     """Maximize the conditional Gaussian likelihood over (beta, phi).
 
     The first `conditioning` observations (default: the model order) are
-    held fixed and the innovation variance is profiled out, leaving a
-    smooth objective in beta and phi that is minimized by BFGS from the
-    plain-OLS starting point. Nonconvergence is reported through the
-    `converged` flag and `gradient_norm`, not silently ignored.
+    held fixed and the innovation variance is profiled out, so the
+    estimate minimizes the residual sum of squares, which is bilinear in
+    beta and phi. It is found by Gauss-Newton from the plain-OLS starting
+    point, and the covariance is the inverse of the exact Hessian of the
+    profiled negative log-likelihood. Nonconvergence is reported through
+    the `converged` flag and `gradient_norm`, not silently ignored.
     """
     p = spec.order
     cond = p if conditioning is None else conditioning
@@ -177,34 +182,52 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
             jac = de_dbeta
         return e, jac
 
-    def negll(theta):
-        e, _ = residuals_and_jacobian(theta)
-        return 0.5 * ne * (math.log(2.0 * math.pi * float(np.mean(e**2))) + 1.0)
+    def objective(rss):
+        if rss == 0.0:
+            raise FitError("the model fits the data exactly; the likelihood is unbounded")
+        return 0.5 * ne * (math.log(2.0 * math.pi * rss / ne) + 1.0)
 
-    def gradient(theta):
-        e, jac = residuals_and_jacobian(theta)
-        return (e @ jac) / float(np.mean(e**2))
-
-    beta0 = np.linalg.lstsq(x, y, rcond=None)[0]
-    theta0 = np.concatenate([beta0, np.zeros(p)])
-    result = scipy.optimize.minimize(
-        negll,
-        theta0,
-        jac=gradient,
-        method="BFGS",
-        options={"gtol": 1e-10, "maxiter": 2000},
-    )
-    theta = result.x
-    objective = float(negll(theta))
-    grad_norm = float(np.max(np.abs(gradient(theta))))
-    converged = grad_norm <= GRADIENT_TOLERANCE * max(1.0, abs(objective))
-
+    # Gauss-Newton from the OLS point. A step is halved while it raises the
+    # RSS by more than the rounding of a sum of n_e squares, so that steps
+    # too small for the RSS to register are still taken whole.
+    theta = np.concatenate([np.linalg.lstsq(x, y, rcond=None)[0], np.zeros(p)])
+    e, jac = residuals_and_jacobian(theta)
+    rss = float(e @ e)
+    rounding = 1.0 + ne * np.finfo(float).eps
+    iterations = 0
+    while iterations < MAX_ITERATIONS:
+        tolerance = STOP_TOLERANCE * max(1.0, abs(objective(rss)))
+        if np.max(np.abs(e @ jac)) * ne / rss <= tolerance:
+            break
+        step = np.linalg.lstsq(jac, -e, rcond=None)[0]
+        for _ in range(MAX_HALVINGS):
+            e_new, jac_new = residuals_and_jacobian(theta + step)
+            rss_new = float(e_new @ e_new)
+            if rss_new <= rss * rounding:
+                break
+            step *= 0.5
+        else:
+            break  # no step along the Gauss-Newton direction lowers the RSS
+        theta, e, jac, rss = theta + step, e_new, jac_new, rss_new
+        iterations += 1
+    log_likelihood = -objective(rss)
+    sigma2 = rss / ne
+    g = e @ jac
+    grad_norm = float(np.max(np.abs(g))) / sigma2
+    converged = grad_norm <= GRADIENT_TOLERANCE * max(1.0, abs(log_likelihood))
     beta, phi = theta[:k], theta[k:]
-    e = _conditional_residuals(y, x, beta, phi, cond)
-    sigma2 = float(np.mean(e**2))
-    log_likelihood = -objective
 
-    covariance = _inverse_information(negll, theta)
+    # exact Hessian of the profiled objective; d2e_t / dbeta dphi_j = +x_{t-j}
+    curvature = np.zeros((k + p, k + p))
+    for j in range(1, p + 1):
+        curvature[:k, k + j - 1] = curvature[k + j - 1, :k] = e @ x[cond - j : n - j]
+    hessian = (jac.T @ jac + curvature) / sigma2 - 2.0 * np.outer(g, g) / (ne * sigma2**2)
+    try:
+        covariance = np.linalg.inv(hessian)
+        if np.any(np.diag(covariance) <= 0):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        covariance = np.full((k + p, k + p), math.nan)
     se = np.sqrt(np.diag(covariance)) if np.all(np.isfinite(covariance)) else np.full(len(theta), math.nan)
     se_names = list(spec.exogenous_columns) + [f"phi{j}" for j in range(1, p + 1)]
 
@@ -229,6 +252,7 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
         residuals=e,
         converged=converged,
         gradient_norm=grad_norm,
+        iterations=iterations,
         n=n,
         n_effective=ne,
         conditioning=cond,
@@ -236,32 +260,6 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
         stationary=stationary,
         label=spec.label,
     )
-
-
-def _inverse_information(objective, theta) -> np.ndarray:
-    """Inverse observed information at the optimum (central differences)."""
-    m = len(theta)
-    h = 1e-5 * np.maximum(np.abs(theta), 1.0)
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            ei = np.zeros(m)
-            ej = np.zeros(m)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                objective(theta + ei + ej)
-                - objective(theta + ei - ej)
-                - objective(theta - ei + ej)
-                + objective(theta - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    try:
-        info_inv = np.linalg.inv(hess)
-        if np.any(np.diag(info_inv) <= 0):
-            raise np.linalg.LinAlgError
-        return info_inv
-    except np.linalg.LinAlgError:
-        return np.full((m, m), math.nan)
 
 
 def _is_stationary(phi: np.ndarray) -> bool:

@@ -158,6 +158,8 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
 def effect_at(fit, design: DesignMatrix, week: int, ci_level: float = 0.95) -> EffectEstimate:
     """Effect estimate at one week, with a delta-method CI on the percentage."""
     weeks = design.weeks
+    if not float(week).is_integer():
+        raise DesignError(f"week must be a whole number, got {week}")
     if not weeks[0] <= week <= weeks[-1]:
         raise DesignError(f"week {week} outside design range [{weeks[0]:g}, {weeks[-1]:g}]")
     return _estimates(fit, design, [int(week - weeks[0])], ci_level)[0]

@@ -6,6 +6,7 @@ import pytest
 
 import itsa
 from itsa.arx import (
+    MAX_ITERATIONS,
     ArxSpec,
     arx_deviance,
     fit_arx,
@@ -39,6 +40,56 @@ def simulate_arx1(rng, n, beta0, beta1, phi, sigma=1.0):
     for t in range(1, n):
         u[t] = phi * u[t - 1] + sigma * rng.normal()
     return x, beta0 + beta1 * x + u
+
+
+def simulate_segmented_arx1(seed, n=2000, phi=0.5):
+    """Weekly series with occupancy, a level and a trend change, and AR(1) errors."""
+    rng = np.random.default_rng(seed)
+    weeks = np.arange(1, n + 1, dtype=float)
+    changepoint = n // 2
+    post = (weeks >= changepoint).astype(float)
+    time_after = post * (weeks - changepoint + 1)
+    occupancy = 80.0 + 5.0 * rng.normal(size=n)
+    u = np.zeros(n)
+    for t in range(1, n):
+        u[t] = phi * u[t - 1] + 3.0 * rng.normal()
+    y = 20.0 + 0.01 * weeks + 0.8 * occupancy - 8.0 * post - 0.005 * time_after + u
+    return make_design(
+        np.column_stack([np.ones(n), weeks, occupancy, post, time_after]),
+        y,
+        ["intercept", "time", "occupancy", "intervention", "time_after"],
+    )
+
+
+def negll_gradient(design, fit, theta):
+    """Analytic gradient of the profiled negative log-likelihood, written out directly."""
+    x = np.column_stack([design.column(c) for c in fit.exogenous_columns])
+    y = design.outcome
+    n, k = x.shape
+    cond = fit.conditioning
+    beta, phi = theta[:k], theta[k:]
+    u = y - x @ beta
+    e = u[cond:] - sum(ph * u[cond - j : n - j] for j, ph in enumerate(phi, start=1))
+    de_dbeta = -x[cond:] + sum(ph * x[cond - j : n - j] for j, ph in enumerate(phi, start=1))
+    de_dphi = [-u[cond - j : n - j] for j in range(1, len(phi) + 1)]
+    jac = np.column_stack([de_dbeta, *de_dphi])
+    return jac.T @ e / np.mean(e**2)
+
+
+def central_difference_se(design, fit):
+    """Standard errors from central differences of the analytic gradient."""
+    theta = np.array([*fit.beta.values(), *fit.phi])
+    h = 1e-5 * np.maximum(np.abs(theta), 1.0)
+    columns = []
+    for i in range(len(theta)):
+        step = np.zeros(len(theta))
+        step[i] = h[i]
+        columns.append(
+            (negll_gradient(design, fit, theta + step) - negll_gradient(design, fit, theta - step))
+            / (2.0 * h[i])
+        )
+    hessian = np.column_stack(columns)
+    return np.sqrt(np.diag(np.linalg.inv(0.5 * (hessian + hessian.T))))
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +167,32 @@ class TestFitArx:
         with pytest.raises(FitError, match="need n >"):
             fit_arx(design, ArxSpec(2, ("intercept", "a")))
 
+    def test_exact_fit_rejected(self):
+        weeks = np.arange(40, dtype=float)
+        design = make_design(np.column_stack([np.ones(40), weeks]), 2.0 + 0.5 * weeks, ["intercept", "time"])
+        with pytest.raises(FitError, match="exactly"):
+            fit_arx(design, ArxSpec(1, ("intercept", "time")))
+
     def test_spec_validation(self):
         with pytest.raises(FitError, match="non-negative"):
             ArxSpec(-1, ("intercept",))
         with pytest.raises(FitError, match="at least one exogenous"):
             ArxSpec(1, ())
+
+    def test_long_series_with_trend_converges(self):
+        """2 000 weeks with a time column: the fit must reach its gradient tolerance.
+
+        A BFGS fit stopped short of it on this seed, and the likelihood-ratio
+        test then refused the pair.
+        """
+        design = simulate_segmented_arx1(seed=9)
+        baseline = fit_arx(design, ArxSpec(1, ("intercept", "time", "occupancy")))
+        full = fit_arx(
+            design,
+            ArxSpec(1, ("intercept", "time", "occupancy", "intervention", "time_after")),
+        )
+        assert baseline.converged and full.converged
+        assert likelihood_ratio_test(baseline, full).lambda_ >= 0.0
 
     def test_nonstationary_fit_warns(self, rng):
         y = np.empty(120)  # mildly explosive autoregression
@@ -159,6 +231,57 @@ class TestCaseStudyArx:
         }
         for name, value in expected.items():
             assert abs(full_arx_fit.standard_errors[name] - value) < 0.5 * value, name
+
+    # deviance, phi, beta and finite-difference standard errors of the BFGS fits
+    # this optimizer replaced
+    PINNED = {
+        ("intercept", "occupancy"): dict(
+            deviance=847.3341402496883,
+            phi=(0.1950448798545539, 0.3640963384834911),
+            beta={"intercept": -72.30975117049414, "occupancy": 1.1397092364522614},
+            se={
+                "intercept": 18.554068187563452,
+                "occupancy": 0.22075415927849507,
+                "phi1": 0.09030609578548238,
+                "phi2": 0.08854431501372843,
+            },
+        ),
+        ("intercept", "occupancy", "intervention"): dict(
+            deviance=835.1525275775698,
+            phi=(0.03455391413400966, 0.18648668336981097),
+            beta={
+                "intercept": -55.47716499665532,
+                "occupancy": 1.0229838081815827,
+                "intervention": -12.595238063426853,
+            },
+            se={
+                "intercept": 18.45638117069477,
+                "occupancy": 0.21368817135025933,
+                "intervention": 2.6543151522824813,
+                "phi1": 0.09340148706561602,
+                "phi2": 0.09373331355708417,
+            },
+        ),
+    }
+
+    @pytest.fixture(params=["baseline_fit", "full_arx_fit"])
+    def case_fit(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_standard_errors_match_gradient_differences(self, occupancy_design, case_fit):
+        expected = central_difference_se(occupancy_design, case_fit)
+        got = np.array(list(case_fit.standard_errors.values()))
+        assert np.allclose(got, expected, rtol=1e-6, atol=0.0)
+
+    def test_pinned_estimates(self, case_fit):
+        pinned = self.PINNED[case_fit.exogenous_columns]
+        assert case_fit.deviance == pytest.approx(pinned["deviance"], rel=1e-6)
+        assert case_fit.phi == pytest.approx(pinned["phi"], rel=1e-6)
+        assert case_fit.beta == pytest.approx(pinned["beta"], rel=1e-6)
+        assert case_fit.standard_errors == pytest.approx(pinned["se"], rel=1e-4)
+
+    def test_iterations_reported(self, case_fit):
+        assert 1 <= case_fit.iterations < MAX_ITERATIONS
 
     def test_level_change_lrt(self, baseline_fit, full_arx_fit):
         result = likelihood_ratio_test(baseline_fit, full_arx_fit)

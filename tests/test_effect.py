@@ -137,6 +137,12 @@ class TestEffectAt:
         with pytest.raises(DesignError, match="outside"):
             effect_at(fit, design, 200)
 
+    def test_fractional_week_rejected(self, reduced_case_study):
+        design, fit = reduced_case_study
+        with pytest.raises(DesignError, match="whole number"):
+            effect_at(fit, design, 54.5)
+        assert effect_at(fit, design, 54.0) == effect_at(fit, design, 54)
+
     def test_invalid_ci_level(self, reduced_case_study):
         design, fit = reduced_case_study
         with pytest.raises(FitError, match="ci_level"):
