@@ -18,7 +18,6 @@ from .arx import (
     select_baseline,
 )
 from .dataset import (
-    ObservationRecord,
     SegmentSummary,
     TimeSeriesDataset,
     load_case_study,
@@ -62,7 +61,6 @@ __all__ = [
     "ItsaError",
     "LjungBoxResult",
     "LrtResult",
-    "ObservationRecord",
     "OlsFit",
     "SegmentSummary",
     "SelectionResult",

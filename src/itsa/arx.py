@@ -24,9 +24,11 @@ from .diagnostics import ljung_box
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
 
-# convergence: sup-norm of the gradient, relative to the objective magnitude
-GRADIENT_TOLERANCE = 1e-8
-STOP_TOLERANCE = 1e-12  # Gauss-Newton keeps stepping until this, 1e-4 x the test above
+# Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
+# step d (Bates & Watts 1981): the share of the residual norm the linearized
+# model could still remove. Unlike the gradient, it does not scale with y.
+OFFSET_TOLERANCE = 1e-6
+STOP_TOLERANCE = 1e-10  # Gauss-Newton keeps stepping until this, 1e-4 x the test above
 MAX_ITERATIONS = 50
 MAX_HALVINGS = 30
 WHITENESS_LAGS = 10
@@ -155,7 +157,8 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     beta and phi. It is found by Gauss-Newton from the plain-OLS starting
     point, and the covariance is the inverse of the exact Hessian of the
     profiled negative log-likelihood. Nonconvergence is reported through
-    the `converged` flag and `gradient_norm`, not silently ignored.
+    the `converged` flag, not silently ignored; `gradient_norm` is kept as
+    telemetry.
     """
     p = spec.order
     cond = p if conditioning is None else conditioning
@@ -182,11 +185,6 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
             jac = de_dbeta
         return e, jac
 
-    def objective(rss):
-        if rss == 0.0:
-            raise FitError("the model fits the data exactly; the likelihood is unbounded")
-        return 0.5 * ne * (math.log(2.0 * math.pi * rss / ne) + 1.0)
-
     # Gauss-Newton from the OLS point. A step is halved while it raises the
     # RSS by more than the rounding of a sum of n_e squares, so that steps
     # too small for the RSS to register are still taken whole.
@@ -195,11 +193,13 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     rss = float(e @ e)
     rounding = 1.0 + ne * np.finfo(float).eps
     iterations = 0
-    while iterations < MAX_ITERATIONS:
-        tolerance = STOP_TOLERANCE * max(1.0, abs(objective(rss)))
-        if np.max(np.abs(e @ jac)) * ne / rss <= tolerance:
-            break
+    while True:
+        if rss == 0.0:
+            raise FitError("the model fits the data exactly; the likelihood is unbounded")
         step = np.linalg.lstsq(jac, -e, rcond=None)[0]
+        offset = float(np.linalg.norm(jac @ step)) / math.sqrt(rss)
+        if offset <= STOP_TOLERANCE or iterations == MAX_ITERATIONS:
+            break
         for _ in range(MAX_HALVINGS):
             e_new, jac_new = residuals_and_jacobian(theta + step)
             rss_new = float(e_new @ e_new)
@@ -210,11 +210,11 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
             break  # no step along the Gauss-Newton direction lowers the RSS
         theta, e, jac, rss = theta + step, e_new, jac_new, rss_new
         iterations += 1
-    log_likelihood = -objective(rss)
+    log_likelihood = -0.5 * ne * (math.log(2.0 * math.pi * rss / ne) + 1.0)
     sigma2 = rss / ne
     g = e @ jac
     grad_norm = float(np.max(np.abs(g))) / sigma2
-    converged = grad_norm <= GRADIENT_TOLERANCE * max(1.0, abs(log_likelihood))
+    converged = offset <= OFFSET_TOLERANCE
     beta, phi = theta[:k], theta[k:]
 
     # exact Hessian of the profiled objective; d2e_t / dbeta dphi_j = +x_{t-j}

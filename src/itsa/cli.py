@@ -110,36 +110,25 @@ def _load_dataset(config: AnalysisConfig) -> dataset_mod.TimeSeriesDataset:
     else:
         with open(config.data_path, encoding="utf-8") as fh:
             ds = dataset_mod.parse_csv(fh, intervention_week=config.intervention_week)
-    if config.outcome_column and config.outcome_column != ds.outcome_name:
-        ds = _reselect_outcome(ds, config.outcome_column)
+    if config.outcome_column:
+        ds = ds.with_outcome(config.outcome_column)
     return ds
-
-
-def _reselect_outcome(ds: dataset_mod.TimeSeriesDataset, name: str) -> dataset_mod.TimeSeriesDataset:
-    if name not in ds.covariate_names:
-        raise ItsaError(f"outcome column {name!r} not found; have "
-                        f"{[ds.outcome_name, *ds.covariate_names]}")
-    records = []
-    new_covariates = (ds.outcome_name,) + tuple(c for c in ds.covariate_names if c != name)
-    for rec in ds.records:
-        covs = dict(rec.covariates)
-        outcome = covs.pop(name)
-        covs[ds.outcome_name] = rec.outcome
-        records.append(dataset_mod.ObservationRecord(week=rec.week, outcome=outcome, covariates=covs))
-    return dataset_mod.TimeSeriesDataset(
-        records=tuple(records), outcome_name=name, covariate_names=new_covariates
-    )
-
-
-def _require_intervention(config: AnalysisConfig) -> design_mod.InterventionSpec:
-    if config.intervention_week is None:
-        raise ItsaError("this command needs --intervention-week")
-    return design_mod.InterventionSpec(config.intervention_week, config.lag)
 
 
 def _build_case_design(config: AnalysisConfig) -> design_mod.DesignMatrix:
     ds = _load_dataset(config)
-    return design_mod.build_design(ds, _require_intervention(config), list(config.confounders))
+    if config.intervention_week is None:
+        raise ItsaError("this command needs --intervention-week")
+    spec = design_mod.InterventionSpec(config.intervention_week, config.lag)
+    design = design_mod.build_design(ds, spec, list(config.confounders))
+    after = int(design.column(design_mod.INTERVENTION).sum())
+    if min(after, design.n - after) < 2:  # else time_after duplicates another column
+        raise ItsaError(
+            f"intervention week {spec.changepoint_week} with lag {spec.lag_weeks} puts the "
+            f"changepoint at week {spec.effective_week}, leaving {design.n - after} weeks "
+            f"before it and {after} from it on; each side needs at least 2"
+        )
+    return design
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -379,7 +368,6 @@ def _cmd_export(config: AnalysisConfig, args, out_path: str) -> int:
         if arx_fitted is not None:
             header += ",arx_fitted"
         fh.write(header + "\n")
-        rows = 0
         for i, week in enumerate(design.weeks):
             line = (f"{int(week)},{design.outcome[i]:g},"
                     f"{fitted[i]:.6g},{counterfactual[i]:.6g}")
@@ -387,8 +375,7 @@ def _cmd_export(config: AnalysisConfig, args, out_path: str) -> int:
                 cell = "" if np.isnan(arx_fitted[i]) else f"{arx_fitted[i]:.6g}"
                 line += f",{cell}"
             fh.write(line + "\n")
-            rows += 1
-    sys.stdout.write(f"wrote {rows} rows to {out_path}\n")
+    sys.stdout.write(f"wrote {design.n} rows to {out_path}\n")
     return 0
 
 

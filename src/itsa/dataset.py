@@ -1,8 +1,8 @@
 """Equally spaced longitudinal datasets: parsing, validation, summaries.
 
-The central type is :class:`TimeSeriesDataset`, an immutable sequence of
-weekly observations of one outcome plus named covariates. Input series
-must be complete (no gaps, no blanks) and spaced exactly one week apart.
+The central type is :class:`TimeSeriesDataset`, read-only NumPy columns
+of the week index, the outcome and named covariates. Input series must
+be complete (no gaps, no blanks) and spaced exactly one week apart.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import _case_study
 from .errors import DataError
@@ -26,85 +28,82 @@ def _canonical(name: str) -> str:
     return name.strip().lower().replace("_", " ")
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One weekly observation: outcome value plus named covariates."""
-
-    week: int
-    outcome: float
-    covariates: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.week < 1:
-            raise DataError(f"week index must be positive, got {self.week}")
-        if self.outcome < 0:
-            raise DataError(f"week {self.week}: outcome must be non-negative, got {self.outcome}")
-        occ = self.covariates.get("occupancy")
-        if occ is not None and not 0.0 <= occ <= 100.0:
-            raise DataError(f"week {self.week}: occupancy must lie in [0, 100], got {occ}")
-        for name in ("discharges", "admissions"):
-            v = self.covariates.get(name)
-            if v is not None and v < 0:
-                raise DataError(f"week {self.week}: {name} must be non-negative, got {v}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesDataset:
-    """Ordered, equally spaced weekly observations. Immutable after construction."""
+    """Consecutive weekly observations held as read-only NumPy columns.
 
-    records: tuple[ObservationRecord, ...]
+    `values` has one row per week: the outcome first, then the covariates
+    in `covariate_names` order. It is copied on construction into
+    column-major order, so each column is a contiguous view. Two datasets
+    are equal when their names and values are.
+    """
+
+    weeks: np.ndarray
+    values: np.ndarray
     outcome_name: str
     covariate_names: tuple[str, ...]
-    interval_label: str = "week"
 
     def __post_init__(self) -> None:
-        if len(self.records) < 3:
-            raise DataError(f"dataset needs at least 3 records, got {len(self.records)}")
-        expected = set(self.covariate_names)
-        prev = None
-        for rec in self.records:
-            if prev is not None and rec.week != prev + 1:
-                if rec.week == prev:
-                    raise DataError(f"duplicate week {rec.week}")
-                raise DataError(f"gap in week sequence: week {prev + 1} is missing")
-            prev = rec.week
-            if set(rec.covariates) != expected:
-                raise DataError(
-                    f"week {rec.week}: covariate names {sorted(rec.covariates)} "
-                    f"do not match dataset columns {sorted(expected)}"
-                )
+        weeks = np.array(self.weeks)
+        values = np.array(self.values, dtype=float, order="F")
+        if weeks.ndim != 1 or values.shape != (len(weeks), 1 + len(self.covariate_names)):
+            raise DataError(f"values shape {values.shape} does not fit weeks shape {weeks.shape}")
+        if not np.all(np.isfinite(weeks) & (weeks == np.round(weeks))):
+            raise DataError("weeks must be whole numbers")
+        if len(weeks) < 3:
+            raise DataError(f"dataset needs at least 3 records, got {len(weeks)}")
+        out_of_sequence = np.flatnonzero(np.diff(weeks) != 1)
+        if out_of_sequence.size:
+            i = out_of_sequence[0]
+            if weeks[0] <= weeks[i + 1] <= weeks[i]:
+                raise DataError(f"duplicate week {int(weeks[i + 1])}")
+            raise DataError(f"gap in week sequence: week {int(weeks[i]) + 1} is missing")
+        weeks = weeks.astype(np.int64, copy=False)
+        weeks.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "weeks", weeks)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeSeriesDataset):
+            return NotImplemented
+        return (
+            self.outcome_name == other.outcome_name
+            and self.covariate_names == other.covariate_names
+            and np.array_equal(self.weeks, other.weeks)
+            and np.array_equal(self.values, other.values)
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.weeks)
 
     @property
-    def weeks(self) -> tuple[int, ...]:
-        return tuple(rec.week for rec in self.records)
+    def outcome(self) -> np.ndarray:
+        return self.values[:, 0]
 
-    @property
-    def outcome(self) -> tuple[float, ...]:
-        return tuple(rec.outcome for rec in self.records)
-
-    def covariate(self, name: str) -> tuple[float, ...]:
+    def covariate(self, name: str) -> np.ndarray:
         if name not in self.covariate_names:
             raise DataError(f"unknown covariate {name!r}; have {list(self.covariate_names)}")
-        return tuple(rec.covariates[name] for rec in self.records)
+        return self.values[:, 1 + self.covariate_names.index(name)]
 
-    def record_at(self, week: int) -> ObservationRecord:
-        first = self.records[0].week
-        if not first <= week <= self.records[-1].week:
-            raise DataError(f"week {week} outside dataset range [{first}, {self.records[-1].week}]")
-        return self.records[week - first]
+    def with_outcome(self, name: str) -> TimeSeriesDataset:
+        """Copy with column `name` as the outcome and the old outcome as the first covariate."""
+        names = (self.outcome_name, *self.covariate_names)
+        if name not in names:
+            raise DataError(f"outcome column {name!r} not found; have {list(names)}")
+        order = [names.index(name)] + [i for i, c in enumerate(names) if c != name]
+        return TimeSeriesDataset(
+            weeks=self.weeks,
+            values=self.values[:, order],
+            outcome_name=name,
+            covariate_names=tuple(names[i] for i in order[1:]),
+        )
 
     def to_csv(self, sink) -> None:
         """Write the dataset as CSV (header row, week index first)."""
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["week", self.outcome_name, *self.covariate_names])
-        for rec in self.records:
-            writer.writerow(
-                [rec.week, _format_number(rec.outcome)]
-                + [_format_number(rec.covariates[c]) for c in self.covariate_names]
-            )
+        for week, row in zip(self.weeks.tolist(), self.values.tolist()):
+            writer.writerow([week, *map(_format_number, row)])
 
 
 @dataclass(frozen=True)
@@ -182,39 +181,28 @@ def parse_csv(source, intervention_week: int | None = None) -> TimeSeriesDataset
     if not keep:
         raise DataError("no outcome column remains after dropping derived columns")
 
-    outcome_idx = keep[0]
-    covariate_idx = keep[1:]
-    outcome_name = header[outcome_idx].strip()
-    covariate_names = tuple(header[i].strip() for i in covariate_idx)
-
-    records: list[ObservationRecord] = []
-    seen_weeks: set[int] = set()
+    weeks: list[float] = []
+    rows: list[list[float]] = []
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
             raise DataError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-        week_val = _parse_cell(row[0], row_no, header[0])
-        if week_val != int(week_val):
+        week = _parse_cell(row[0], row_no, header[0])
+        if week != int(week):
             raise DataError(f"row {row_no}: week index must be an integer, got {row[0]!r}")
-        week = int(week_val)
-        if week in seen_weeks:
-            raise DataError(f"duplicate week {week}")
-        seen_weeks.add(week)
-        outcome = _parse_cell(row[outcome_idx], row_no, outcome_name)
-        covariates = {
-            header[i].strip(): _parse_cell(row[i], row_no, header[i]) for i in covariate_idx
-        }
+        weeks.append(week)
+        rows.append([_parse_cell(row[i], row_no, header[i]) for i in keep])
         if intervention_week is not None and derived:
             _check_derived_cells(row, row_no, header, derived, week, intervention_week)
-        records.append(ObservationRecord(week=week, outcome=outcome, covariates=covariates))
 
-    if not records:
+    if not rows:
         raise DataError("empty input: no data rows")
     return TimeSeriesDataset(
-        records=tuple(records),
-        outcome_name=outcome_name,
-        covariate_names=covariate_names,
+        weeks=np.array(weeks),
+        values=np.array(rows),
+        outcome_name=header[keep[0]].strip(),
+        covariate_names=tuple(header[i].strip() for i in keep[1:]),
     )
 
 
@@ -237,20 +225,10 @@ def _check_derived_cells(row, row_no, header, derived, week, intervention_week) 
 
 def load_case_study() -> TimeSeriesDataset:
     """Return the packaged 114-week OR-holds dataset."""
-    records = tuple(
-        ObservationRecord(
-            week=week,
-            outcome=float(holds),
-            covariates={
-                "occupancy": float(occ),
-                "discharges": float(dis),
-                "admissions": float(adm),
-            },
-        )
-        for week, holds, occ, dis, adm in _case_study.CASE_STUDY_ROWS
-    )
+    rows = np.array(_case_study.CASE_STUDY_ROWS, dtype=float)
     return TimeSeriesDataset(
-        records=records,
+        weeks=rows[:, 0],
+        values=rows[:, 1:],
         outcome_name=_case_study.OUTCOME_NAME,
         covariate_names=_case_study.COVARIATE_NAMES,
     )
@@ -258,25 +236,25 @@ def load_case_study() -> TimeSeriesDataset:
 
 def summarize(dataset: TimeSeriesDataset, split_week: int) -> SegmentSummary:
     """Outcome summary overall and split at `split_week` (before = weeks < split)."""
-    weeks = dataset.weeks
+    weeks, outcome = dataset.weeks, dataset.outcome
     if not weeks[0] <= split_week <= weeks[-1]:
         raise DataError(f"split week {split_week} outside dataset range [{weeks[0]}, {weeks[-1]}]")
-    before = [r.outcome for r in dataset.records if r.week < split_week]
-    after = [r.outcome for r in dataset.records if r.week >= split_week]
-    if not before or not after:
+    before = outcome[weeks < split_week]
+    after = outcome[weeks >= split_week]
+    if not before.size or not after.size:
         raise DataError(f"split week {split_week} leaves an empty segment")
-    everything = [r.outcome for r in dataset.records]
+    # fsum rounds the sum once, so a mean does not depend on the summation order
     return SegmentSummary(
         split_week=split_week,
-        overall_mean=sum(everything) / len(everything),
-        overall_min=min(everything),
-        overall_max=max(everything),
-        before_mean=sum(before) / len(before),
-        before_min=min(before),
-        before_max=max(before),
-        after_mean=sum(after) / len(after),
-        after_min=min(after),
-        after_max=max(after),
+        overall_mean=math.fsum(outcome) / len(outcome),
+        overall_min=float(outcome.min()),
+        overall_max=float(outcome.max()),
+        before_mean=math.fsum(before) / len(before),
+        before_min=float(before.min()),
+        before_max=float(before.max()),
+        after_mean=math.fsum(after) / len(after),
+        after_min=float(after.min()),
+        after_max=float(after.max()),
         n_before=len(before),
         n_after=len(after),
     )

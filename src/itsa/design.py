@@ -146,41 +146,35 @@ def build_design(
     dataset: TimeSeriesDataset,
     spec: InterventionSpec,
     confounders: list[str] | tuple[str, ...] = (),
-    coding: TimeCodingConvention | None = None,
 ) -> DesignMatrix:
     """Construct the segmented-regression design for one change point.
 
     Column order is fixed: intercept, time, intervention, time_after,
-    then confounders in the order given. Under the default coding the
-    time column is the raw week index; the post-intervention counter is
-    1 at the change-point week itself (matching the analysis-ready
-    coding of the packaged case study) and increments weekly.
+    then confounders in the order given. The time column is the raw
+    week index (see `recode_time` for other origins); the
+    post-intervention counter is 1 at the change-point week itself
+    (matching the analysis-ready coding of the packaged case study) and
+    increments weekly.
     """
-    if coding is None:
-        coding = TimeCodingConvention.series_start()
     for name in confounders:
         if name not in dataset.covariate_names:
             raise DesignError(
                 f"unknown confounder {name!r}; dataset has {list(dataset.covariate_names)}"
             )
-    weeks = np.array(dataset.weeks, dtype=float)
+    weeks = dataset.weeks.astype(float)
     changepoint = spec.effective_week
-    if changepoint < dataset.weeks[0]:
+    if changepoint < weeks[0]:
         raise DesignError(
             f"effective changepoint {changepoint} is before the first week {dataset.weeks[0]}"
         )
-    n = len(dataset)
     indicator = (weeks >= changepoint).astype(float)
     time_after = np.where(indicator > 0, weeks - changepoint + 1, 0.0)
-    columns = [np.ones(n), weeks - coding.shift_for(changepoint), indicator, time_after]
-    names = [INTERCEPT, TIME, INTERVENTION, TIME_AFTER]
-    for name in confounders:
-        columns.append(np.array(dataset.covariate(name), dtype=float))
-        names.append(name)
+    columns = [np.ones(len(weeks)), weeks, indicator, time_after]
+    columns += [dataset.covariate(name) for name in confounders]
     return DesignMatrix(
         matrix=np.column_stack(columns),
-        column_names=tuple(names),
-        outcome=np.array(dataset.outcome, dtype=float),
+        column_names=(INTERCEPT, TIME, INTERVENTION, TIME_AFTER, *confounders),
+        outcome=dataset.outcome,
         weeks=weeks,
         changepoint=changepoint,
     )

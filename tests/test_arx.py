@@ -300,6 +300,13 @@ class TestCaseStudyArx:
         assert result.lambda_ == pytest.approx(0.2, abs=0.3)
         assert not result.significant
 
+    def test_convergence_does_not_depend_on_outcome_scale(self, occupancy_design):
+        spec = ArxSpec(2, ("intercept", "time", "occupancy", "intervention", "time_after"))
+        tiny = dataclasses.replace(occupancy_design, outcome=occupancy_design.outcome * 1e-8)
+        fit, tiny_fit = fit_arx(occupancy_design, spec), fit_arx(tiny, spec)
+        assert tiny_fit.converged is True  # a Python bool, so JSON output can carry it
+        assert tiny_fit.phi == pytest.approx(fit.phi, rel=0.0, abs=1e-8)
+
 
 class TestPredictArx:
     def test_leading_values_are_nan(self, baseline_fit, occupancy_design):

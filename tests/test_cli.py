@@ -275,6 +275,21 @@ class TestConfigAndUsage:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["arx", "fit"])
+    @pytest.mark.parametrize(
+        "week, lag, before, after", [(114, 0, 113, 1), (1, 0, 0, 114), (110, 4, 113, 1)]
+    )
+    def test_changepoint_without_two_weeks_each_side_exits_1(
+        self, command, week, lag, before, after, capsys
+    ):
+        code, _ = invoke([
+            command, "--builtin-case-study", "--intervention-week", str(week), "--lag", str(lag),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"intervention week {week} with lag {lag}" in err
+        assert f"leaving {before} weeks before it and {after} from it on" in err
+
     def test_lag_shifts_results(self):
         _, base = invoke(["fit", *CASE_STUDY_FLAGS, "--format", "json"])
         _, lagged = invoke(["fit", *CASE_STUDY_FLAGS, "--lag", "1", "--format", "json"])

@@ -1,12 +1,33 @@
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import itsa
-from itsa.dataset import ObservationRecord, parse_csv, summarize
+from itsa._case_study import CASE_STUDY_ROWS
+from itsa.dataset import TimeSeriesDataset, parse_csv, summarize
 from itsa.errors import DataError
 
 SMALL = "week,holds,occupancy\n1,10,50\n2,12,55\n3,9,60\n"
+
+
+@st.composite
+def datasets(draw, min_covariates=0):
+    """Consecutive weeks from any integer start, finite values of any sign and size."""
+    n = draw(st.integers(3, 20))
+    k = draw(st.integers(min_covariates, 3))
+    start = draw(st.integers(-(10**6), 10**6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, 1 + k), elements=finite))
+    return TimeSeriesDataset(
+        weeks=np.arange(start, start + n),
+        values=values,
+        outcome_name="y",
+        covariate_names=tuple(f"c{i}" for i in range(k)),
+    )
 
 
 class TestParseCsv:
@@ -15,7 +36,7 @@ class TestParseCsv:
         assert len(ds) == 3
         assert ds.outcome_name == "holds"
         assert ds.covariate_names == ("occupancy",)
-        assert ds.outcome == (10.0, 12.0, 9.0)
+        assert ds.outcome.tolist() == [10.0, 12.0, 9.0]
 
     def test_gap_names_missing_week(self):
         with pytest.raises(DataError, match="week 3"):
@@ -71,15 +92,35 @@ class TestParseCsv:
         again = parse_csv(sink.getvalue())
         assert again == ds
 
+    @settings(deadline=None)
+    @given(datasets())
+    def test_round_trip_property(self, ds):
+        sink = io.StringIO()
+        ds.to_csv(sink)
+        assert parse_csv(sink.getvalue()) == ds
+
 
 class TestInvariants:
-    def test_negative_outcome_rejected(self):
-        with pytest.raises(DataError, match="non-negative"):
-            ObservationRecord(week=1, outcome=-1.0)
+    def test_case_study_meets_its_plausibility_bounds(self):
+        rows = np.array(CASE_STUDY_ROWS, dtype=float)
+        weeks, holds, occupancy, discharges, admissions = rows.T
+        assert np.all(weeks >= 1)
+        assert np.all(holds >= 0)
+        assert np.all((occupancy >= 0) & (occupancy <= 100))
+        assert np.all(discharges >= 0) and np.all(admissions >= 0)
 
-    def test_occupancy_bounds(self):
-        with pytest.raises(DataError, match="occupancy"):
-            ObservationRecord(week=1, outcome=0.0, covariates={"occupancy": 130.0})
+    def test_generic_series_not_held_to_case_study_bounds(self):
+        ds = parse_csv("week,y,occupancy\n0,-2.5,120\n1,-1,50\n2,3,101.5\n")
+        assert ds.weeks.tolist() == [0, 1, 2]
+        assert ds.outcome.tolist() == [-2.5, -1.0, 3.0]
+        assert ds.covariate("occupancy").tolist() == [120.0, 50.0, 101.5]
+
+    @pytest.mark.parametrize("weeks", [[0.5, 1.5, 2.5], [1.0, 2.0, float("nan")]])
+    def test_weeks_must_be_whole_numbers(self, weeks):
+        with pytest.raises(DataError, match="whole numbers"):
+            TimeSeriesDataset(
+                weeks=weeks, values=np.zeros((3, 1)), outcome_name="y", covariate_names=()
+            )
 
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 3"):
@@ -91,21 +132,25 @@ class TestCaseStudy:
         assert len(case_study) == 114
 
     def test_first_row(self, case_study):
-        rec = case_study.record_at(1)
-        assert rec.outcome == 16
-        assert rec.covariates == {"occupancy": 65.5, "discharges": 156, "admissions": 212}
+        assert case_study.weeks[0] == 1
+        assert case_study.outcome[0] == 16
+        assert case_study.covariate("occupancy")[0] == 65.5
+        assert case_study.covariate("discharges")[0] == 156
+        assert case_study.covariate("admissions")[0] == 212
 
     def test_intervention_week_row(self, case_study):
-        rec = case_study.record_at(53)
-        assert rec.outcome == 18
-        assert rec.covariates["occupancy"] == 62.8
-        assert rec.covariates["discharges"] == 135
-        assert rec.covariates["admissions"] == 189
+        assert case_study.weeks[52] == 53
+        assert case_study.outcome[52] == 18
+        assert case_study.covariate("occupancy")[52] == 62.8
+        assert case_study.covariate("discharges")[52] == 135
+        assert case_study.covariate("admissions")[52] == 189
 
     def test_last_row(self, case_study):
-        rec = case_study.record_at(114)
-        assert rec.outcome == 23
-        assert rec.covariates == {"occupancy": 85.4, "discharges": 141, "admissions": 170}
+        assert case_study.weeks[-1] == 114
+        assert case_study.outcome[-1] == 23
+        assert case_study.covariate("occupancy")[-1] == 85.4
+        assert case_study.covariate("discharges")[-1] == 141
+        assert case_study.covariate("admissions")[-1] == 170
 
     def test_round_trips_through_csv(self, case_study):
         sink = io.StringIO()
@@ -113,10 +158,6 @@ class TestCaseStudy:
         text = sink.getvalue()
         assert text.splitlines()[0] == "week,or_holds,occupancy,discharges,admissions"
         assert parse_csv(text) == case_study
-
-    def test_out_of_range_lookup(self, case_study):
-        with pytest.raises(DataError, match="outside"):
-            case_study.record_at(115)
 
 
 class TestSummarize:
@@ -155,3 +196,27 @@ def test_load_case_study_is_fresh_each_call():
     b = itsa.load_case_study()
     assert a == b
     assert a is not b
+
+
+@settings(deadline=None)
+@given(datasets(min_covariates=1), st.data())
+def test_reselecting_outcome_and_back_keeps_every_column(ds, data):
+    name = data.draw(st.sampled_from(ds.covariate_names))
+    swapped = ds.with_outcome(name)
+    assert swapped.outcome_name == name
+    assert np.array_equal(swapped.outcome, ds.covariate(name))
+    back = swapped.with_outcome(ds.outcome_name)
+    assert np.array_equal(back.outcome, ds.outcome)
+    assert sorted(back.covariate_names) == sorted(ds.covariate_names)
+    for c in ds.covariate_names:
+        assert np.array_equal(back.covariate(c), ds.covariate(c))
+    if name == ds.covariate_names[0]:  # the old outcome returns to the front
+        assert back == ds
+
+
+def test_columns_are_read_only_views(case_study):
+    assert case_study.outcome.base is case_study.values
+    with pytest.raises(ValueError):
+        case_study.outcome[0] = 0.0
+    with pytest.raises(ValueError):
+        case_study.weeks[0] = 0

@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import itsa
+from itsa.dataset import TimeSeriesDataset
 from itsa.design import (
     DesignMatrix,
     InterventionSpec,
@@ -61,6 +64,30 @@ class TestBuildDesign:
             build_design(late_start, InterventionSpec(2), [])
         with pytest.raises(DesignError):
             InterventionSpec(0)
+
+    @settings(deadline=None)
+    @given(
+        start=st.integers(-50, 500),
+        n=st.integers(3, 200),
+        offset=st.integers(0, 250),
+        lag=st.integers(0, 20),
+    )
+    def test_indicator_and_counter_invariants(self, start, n, offset, lag):
+        weeks = np.arange(start, start + n)
+        ds = TimeSeriesDataset(
+            weeks=weeks,
+            values=np.column_stack([weeks * 0.5, -weeks]),
+            outcome_name="y",
+            covariate_names=("c",),
+        )
+        spec = InterventionSpec(max(start, 1) + offset, lag)
+        d = build_design(ds, spec, ["c"])
+        time, indicator = d.column("time"), d.column("intervention")
+        before = min(spec.effective_week - start, n)  # rows before the effective week
+        assert np.array_equal(indicator, np.concatenate([np.zeros(before), np.ones(n - before)]))
+        assert np.array_equal(d.column("time_after"), indicator * (time - spec.effective_week + 1))
+        assert np.array_equal(d.column("c"), ds.covariate("c"))
+        assert np.array_equal(d.outcome, ds.outcome)
 
     def test_lag_shifts_effective_changepoint(self, case_study_module):
         d = build_design(case_study_module, InterventionSpec(53, lag_weeks=1), [])
