@@ -274,8 +274,8 @@ def arx_deviance(fit: ArxFit) -> float:
     """-2 x conditional log-likelihood at the optimum."""
     if not fit.converged:
         raise FitError(
-            f"fit did not converge (gradient norm {fit.gradient_norm:.2e}); "
-            "deviance would be unreliable"
+            f"fit did not converge (relative Gauss-Newton offset above "
+            f"{OFFSET_TOLERANCE:g}); deviance would be unreliable"
         )
     return fit.deviance
 
@@ -286,8 +286,6 @@ def predict_arx(fit: ArxFit, design: DesignMatrix) -> np.ndarray:
     The first `conditioning` entries have no lagged errors available and
     are returned as NaN rather than extrapolated.
     """
-    for name in fit.exogenous_columns:
-        design.column_index(name)  # raises on mismatch
     x = np.column_stack([design.column(name) for name in fit.exogenous_columns])
     y = design.outcome
     beta = np.array([fit.beta[c] for c in fit.exogenous_columns])
@@ -330,7 +328,7 @@ def select_baseline(
 
     n_common = design.n - max_order
     trace: list[CandidateRecord] = []
-    fits: dict[int, ArxSpec] = {}
+    specs: list[ArxSpec] = []
     for columns in candidate_exogenous:
         columns = tuple(columns)
         for order in range(max_order + 1):
@@ -356,7 +354,7 @@ def select_baseline(
                     admissible=admissible,
                 )
             )
-            fits[len(trace) - 1] = spec
+            specs.append(spec)
 
     order_by_bic = sorted(range(len(trace)), key=lambda i: trace[i].bic)
     ranked = tuple(trace[i] for i in order_by_bic)
@@ -367,7 +365,7 @@ def select_baseline(
             trace=ranked,
             message="no candidate passed the residual whiteness check",
         )
-    winner = fits[admissible[0]]
+    winner = specs[admissible[0]]
     best = fit_arx(design, winner)  # natural conditioning window for reporting
     return SelectionResult(best=best, trace=ranked, message=f"selected {winner.label}")
 

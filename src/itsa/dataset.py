@@ -48,6 +48,10 @@ class TimeSeriesDataset:
         values = np.array(self.values, dtype=float, order="F")
         if weeks.ndim != 1 or values.shape != (len(weeks), 1 + len(self.covariate_names)):
             raise DataError(f"values shape {values.shape} does not fit weeks shape {weeks.shape}")
+        names = (self.outcome_name, *self.covariate_names)
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"column {name!r} appears more than once")
         if not np.all(np.isfinite(weeks) & (weeks == np.round(weeks))):
             raise DataError("weeks must be whole numbers")
         if len(weeks) < 3:

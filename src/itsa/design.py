@@ -105,11 +105,7 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.column_names.index(name)
-        except ValueError:
-            raise DesignError(f"no column named {name!r}") from None
-        return self.matrix[:, idx]
+        return self.matrix[:, self.column_index(name)]
 
     def column_index(self, name: str) -> int:
         try:

@@ -190,11 +190,12 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
     if all(r is not None for r in relatives) and len(relatives) >= STABILIZATION_WINDOW:
         rel = np.array(relatives)
         rolling = np.convolve(rel, np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW, "valid")
-        for i in range(len(rolling)):
-            tail = rolling[i:]
-            if tail.max() - tail.min() < STABILIZATION_SPREAD:
-                stabilization_week = estimates[i].week
-                break
+        # max and min of every tail rolling[i:], as running extremes from the end
+        tail_max = np.maximum.accumulate(rolling[::-1])[::-1]
+        tail_min = np.minimum.accumulate(rolling[::-1])[::-1]
+        settled = np.flatnonzero(tail_max - tail_min < STABILIZATION_SPREAD)
+        if settled.size:
+            stabilization_week = estimates[settled[0]].week
     return EffectSeries(
         estimates=estimates,
         mean_relative_change=mean_rel,

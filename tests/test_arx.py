@@ -432,6 +432,11 @@ class TestLikelihoodRatioTest:
         with pytest.raises(FitError, match="converge"):
             arx_deviance(stale)
 
+    def test_unconverged_deviance_names_the_offset_test(self, baseline_fit):
+        stale = dataclasses.replace(baseline_fit, converged=False)
+        with pytest.raises(FitError, match=r"relative Gauss-Newton offset above 1e-06\)"):
+            arx_deviance(stale)
+
     def test_null_statistic_distribution(self, rng):
         """Under the null, the statistic for one spurious column is ~chi-square(1)."""
         lams = []

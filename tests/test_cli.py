@@ -206,6 +206,13 @@ class TestExportCommand:
         assert lines[2].endswith(",")
         assert not lines[3].endswith(",")
 
+    def test_export_confirmation_goes_to_stdout(self, tmp_path, capsys):
+        out_file = tmp_path / "series.csv"
+        code, text = invoke(["export", *CASE_STUDY_FLAGS, "--output", str(out_file)])
+        assert code == 0
+        assert text == ""  # the command's result is the file
+        assert capsys.readouterr().out == f"wrote 114 rows to {out_file}\n"
+
     def test_export_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -1,0 +1,137 @@
+"""Golden CLI outputs: the written output, console, exit code and exported file.
+
+Every subcommand runs on the case study in every format, without
+confounders, with occupancy and with all three, plus single cases for
+`--lag`, `--outcome` and the error paths. The expected outputs in
+`data/cli_golden.json` were captured from the CLI before its dispatch
+was rewritten. Text is compared byte for byte. JSON output is compared
+key by key, with numbers within 1e-9 relative, so that BLAS rounding
+cannot fail the test; its layout is checked by re-serializing it.
+
+Regenerate the file (only for an intended change of output) with
+`PYTHONPATH=src python tests/test_cli_golden.py`.
+"""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+import tempfile
+
+import pytest
+
+from itsa.cli import run
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+OUTPUT = "{output}"  # stands for the export path in argv and in the captured text
+CASE_STUDY = ["--builtin-case-study", "--intervention-week", "53"]
+COMMANDS = {
+    "validate": ["data", "validate"],
+    "summary": ["data", "summary"],
+    "fit": ["fit"],
+    "diagnose": ["diagnose"],
+    "arx": ["arx"],
+    "effect": ["effect"],
+    "effect-week54": ["effect", "--week", "54"],
+    "export": ["export", "--output", OUTPUT],
+    "export-arx": ["export", "--arx", "--output", OUTPUT],
+}
+CONFOUNDERS = {
+    "none": [],
+    "occupancy": ["--confounders", "occupancy"],
+    "all": ["--confounders", "admissions,discharges,occupancy"],
+}
+FORMATS = ("table", "json", "csv")
+
+
+def golden_cases() -> dict[str, list[str]]:
+    cases = {}
+    for command, words in COMMANDS.items():
+        for confounders, flags in CONFOUNDERS.items():
+            for fmt in FORMATS:
+                cases[f"{command}/{confounders}/{fmt}"] = [*words, *CASE_STUDY, *flags, "--format", fmt]
+    for command in ("fit", "diagnose", "arx", "effect", "export-arx"):
+        for fmt in ("table", "json"):
+            cases[f"{command}/lag2/{fmt}"] = [*COMMANDS[command], *CASE_STUDY, "--lag", "2",
+                                              "--confounders", "occupancy", "--format", fmt]
+    for command in ("validate", "summary", "fit", "effect"):
+        for fmt in ("table", "json"):
+            cases[f"{command}/outcome-occupancy/{fmt}"] = [
+                *COMMANDS[command], *CASE_STUDY, "--outcome", "occupancy", "--format", fmt]
+    cases.update({
+        "error/unknown-outcome": ["data", "validate", "--builtin-case-study", "--outcome", "nope"],
+        "error/missing-file": ["fit", "--data", "/no/such/file.csv", "--intervention-week", "53"],
+        "error/no-input": ["fit", "--intervention-week", "53"],
+        "error/summary-without-split": ["data", "summary", "--builtin-case-study"],
+        "error/no-intervention-week": ["fit", "--builtin-case-study"],
+        "error/changepoint-at-end": ["arx", "--builtin-case-study", "--intervention-week", "114"],
+        "error/week-out-of-range": ["effect", *CASE_STUDY, "--week", "999", "--format", "json"],
+        "error/ci-level": ["effect", *CASE_STUDY, "--ci-level", "1.5"],
+        "error/unknown-confounder": ["fit", *CASE_STUDY, "--confounders", "nope"],
+        "error/export-unwritable": ["export", *CASE_STUDY, "--output", "/no/such/dir/out.csv"],
+    })
+    return cases
+
+
+def capture(argv: list[str], directory: pathlib.Path) -> dict:
+    """Run the CLI in-process; return what it wrote where, with the export path masked."""
+    path = directory / "export.csv"
+    out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run([str(path) if a == OUTPUT else a for a in argv], out=out)
+    result = {"argv": argv, "code": code, "out": out.getvalue(),
+              "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    if path.exists():
+        result["file"] = path.read_text(encoding="utf-8")
+        path.unlink()
+    for key in ("out", "stdout", "stderr"):
+        result[key] = result[key].replace(str(path), OUTPUT)
+    return result
+
+
+def assert_json_close(actual, expected, where="$"):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key in expected:
+            assert_json_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_json_close(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float) and not isinstance(actual, bool):
+        assert isinstance(actual, (int, float)), where
+        same = (math.isnan(actual) and math.isnan(expected)) or math.isclose(
+            actual, expected, rel_tol=1e-9)
+        assert same, f"{where}: {actual!r} != {expected!r}"
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+
+
+def test_golden_file_covers_every_case():
+    assert list(GOLDEN) == list(golden_cases())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_output_matches_golden(name, tmp_path):
+    expected = dict(GOLDEN[name])
+    actual = capture(expected["argv"], tmp_path)
+    if "json" in expected:
+        text = actual.pop("out")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert_json_close(json.loads(text), expected.pop("json"))
+    assert actual == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        captured = {name: capture(argv, pathlib.Path(tmp)) for name, argv in golden_cases().items()}
+    for result in captured.values():  # JSON output is stored parsed, to be compared by value
+        if "json" in result["argv"] and result["out"].startswith("{"):
+            result["json"] = json.loads(result.pop("out"))
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(captured, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(captured)} cases to {GOLDEN_PATH}")

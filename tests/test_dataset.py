@@ -122,6 +122,12 @@ class TestInvariants:
                 weeks=weeks, values=np.zeros((3, 1)), outcome_name="y", covariate_names=()
             )
 
+    @pytest.mark.parametrize("header, name", [("week,y,a,a", "a"), ("week,y,y", "y")])
+    def test_repeated_column_name_rejected(self, header, name):
+        rows = "".join(f"{week}" + ",1" * header.count(",") + "\n" for week in (1, 2, 3))
+        with pytest.raises(DataError, match=f"column '{name}' appears more than once"):
+            parse_csv(f"{header}\n{rows}")
+
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 3"):
             parse_csv("week,y\n1,1\n2,2\n")

@@ -4,7 +4,13 @@ import pytest
 import itsa
 from itsa.arx import ArxSpec, fit_arx
 from itsa.design import DesignMatrix
-from itsa.effect import counterfactual_series, effect_at, effect_series
+from itsa.effect import (
+    STABILIZATION_SPREAD,
+    STABILIZATION_WINDOW,
+    counterfactual_series,
+    effect_at,
+    effect_series,
+)
 from itsa.errors import DesignError, FitError
 from itsa.ols import fit_ols
 
@@ -253,3 +259,38 @@ class TestSingleEffectPath:
         defined = [e.relative_change for e in series.estimates if e.relative_change is not None]
         assert series.mean_relative_change == pytest.approx(sum(defined) / len(defined))
         assert series.stabilization_week is None
+
+
+class TestStabilizationScan:
+    """The running-extremes scan must pick the same week as a scan of every tail."""
+
+    @staticmethod
+    def direct_scan(series):
+        rel = [e.relative_change for e in series.estimates]
+        if None in rel or len(rel) < STABILIZATION_WINDOW:
+            return None
+        rolling = np.convolve(rel, np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW, "valid")
+        for i in range(len(rolling)):
+            if rolling[i:].max() - rolling[i:].min() < STABILIZATION_SPREAD:
+                return series.estimates[i].week
+        return None
+
+    # a confounder swinging by up to `swing` moves the counterfactual, and so the relative change
+    @pytest.mark.parametrize("swing, changepoint, reached", [
+        (0.01, 41, "early"),
+        (20.0, 41, "late"),
+        (20.0, 195, "never"),  # 6 post-intervention weeks, fewer than the window
+    ])
+    def test_matches_direct_scan(self, swing, changepoint, reached):
+        n = 200
+        weeks = np.arange(1, n + 1)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            z = swing * rng.uniform(-1.0, 1.0, n)
+            y = 40.0 - 10.0 * (weeks >= changepoint) + z + 0.1 * rng.normal(size=n)
+            design = step_design(y, changepoint, extra=z, extra_names=("swing",))
+            series = effect_series(fit_ols(design), design)
+            week = series.stabilization_week
+            assert week == self.direct_scan(series)
+            assert {"early": week == changepoint, "never": week is None,
+                    "late": week is not None and week > changepoint + 20}[reached]
