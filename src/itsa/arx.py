@@ -66,7 +66,8 @@ class ArxFit:
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
     converged: bool
     gradient_norm: float
-    iterations: int  # Gauss-Newton steps taken
+    iterations: int  # accepted Newton or Gauss-Newton steps
+    stop_reason: str  # "offset", "max_iterations" or "no_descent"
     n: int
     n_effective: int
     conditioning: int  # initial observations held fixed (>= order)
@@ -138,25 +139,15 @@ def _split_columns(design: DesignMatrix, spec: ArxSpec) -> np.ndarray:
     return np.column_stack([design.column(name) for name in spec.exogenous_columns])
 
 
-def _conditional_residuals(y, x, beta, phi, cond):
-    """One-step residuals for t = cond..n-1 (0-based), given parameters."""
-    u = y - x @ beta
-    e = u[cond:].copy()
-    n = len(y)
-    for j, ph in enumerate(phi, start=1):
-        e -= ph * u[cond - j : n - j]
-    return e
-
-
 def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None) -> ArxFit:
     """Maximize the conditional Gaussian likelihood over (beta, phi).
 
     The first `conditioning` observations (default: the model order) are
     held fixed and the innovation variance is profiled out, so the
     estimate minimizes the residual sum of squares, which is bilinear in
-    beta and phi. It is found by Gauss-Newton from the plain-OLS starting
-    point, and the covariance is the inverse of the exact Hessian of the
-    profiled negative log-likelihood. Nonconvergence is reported through
+    beta and phi. It is found by safeguarded Newton steps from the plain-OLS
+    starting point, and the covariance is the inverse of the exact Hessian of
+    the profiled negative log-likelihood. Nonconvergence is reported through
     the `converged` flag, not silently ignored; `gradient_norm` is kept as
     telemetry.
     """
@@ -172,22 +163,19 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     ne = n - cond
 
     def residuals_and_jacobian(theta):
+        """One-step residuals for t = cond..n-1 (0-based) and their Jacobian."""
         beta, phi = theta[:k], theta[k:]
-        e = _conditional_residuals(y, x, beta, phi, cond)
-        de_dbeta = -x[cond:].copy()
+        u = y - x @ beta
+        e, de_dbeta = u[cond:].copy(), -x[cond:].copy()
         for j, ph in enumerate(phi, start=1):
+            e -= ph * u[cond - j : n - j]
             de_dbeta += ph * x[cond - j : n - j]
-        if p:
-            u = y - x @ beta
-            de_dphi = np.column_stack([-u[cond - j : n - j] for j in range(1, p + 1)])
-            jac = np.hstack([de_dbeta, de_dphi])
-        else:
-            jac = de_dbeta
-        return e, jac
+        return e, np.column_stack([de_dbeta, *(-u[cond - j : n - j] for j in range(1, p + 1))])
 
-    # Gauss-Newton from the OLS point. A step is halved while it raises the
-    # RSS by more than the rounding of a sum of n_e squares, so that steps
-    # too small for the RSS to register are still taken whole.
+    # Newton steps from the OLS point, or the Gauss-Newton step where the exact
+    # RSS Hessian J'J + C is not positive definite. A step is halved while it
+    # raises the RSS by more than the rounding of a sum of n_e squares, so that
+    # steps too small for the RSS to register are still taken whole.
     theta = np.concatenate([np.linalg.lstsq(x, y, rcond=None)[0], np.zeros(p)])
     e, jac = residuals_and_jacobian(theta)
     rss = float(e @ e)
@@ -196,32 +184,39 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     while True:
         if rss == 0.0:
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
+        g, rss_hessian = e @ jac, jac.T @ jac  # half the RSS gradient and Hessian
+        for j in range(1, p + 1):  # C: d2e_t / dbeta dphi_j = +x_{t-j}
+            rss_hessian[:k, k + j - 1] += e @ x[cond - j : n - j]
+            rss_hessian[k + j - 1, :k] = rss_hessian[:k, k + j - 1]
         step = np.linalg.lstsq(jac, -e, rcond=None)[0]
         offset = float(np.linalg.norm(jac @ step)) / math.sqrt(rss)
         if offset <= STOP_TOLERANCE or iterations == MAX_ITERATIONS:
+            stop_reason = "offset" if offset <= STOP_TOLERANCE else "max_iterations"
             break
+        try:
+            np.linalg.cholesky(rss_hessian)  # raises unless positive definite
+            step = np.linalg.solve(rss_hessian, -g)
+        except np.linalg.LinAlgError:
+            pass  # keep the Gauss-Newton step
         for _ in range(MAX_HALVINGS):
             e_new, jac_new = residuals_and_jacobian(theta + step)
             rss_new = float(e_new @ e_new)
             if rss_new <= rss * rounding:
                 break
             step *= 0.5
-        else:
-            break  # no step along the Gauss-Newton direction lowers the RSS
+        else:  # no step along the chosen direction lowers the RSS
+            stop_reason = "no_descent"
+            break
         theta, e, jac, rss = theta + step, e_new, jac_new, rss_new
         iterations += 1
     log_likelihood = -0.5 * ne * (math.log(2.0 * math.pi * rss / ne) + 1.0)
     sigma2 = rss / ne
-    g = e @ jac
     grad_norm = float(np.max(np.abs(g))) / sigma2
     converged = offset <= OFFSET_TOLERANCE
     beta, phi = theta[:k], theta[k:]
 
-    # exact Hessian of the profiled objective; d2e_t / dbeta dphi_j = +x_{t-j}
-    curvature = np.zeros((k + p, k + p))
-    for j in range(1, p + 1):
-        curvature[:k, k + j - 1] = curvature[k + j - 1, :k] = e @ x[cond - j : n - j]
-    hessian = (jac.T @ jac + curvature) / sigma2 - 2.0 * np.outer(g, g) / (ne * sigma2**2)
+    # exact Hessian of the profiled negative log-likelihood
+    hessian = rss_hessian / sigma2 - 2.0 * np.outer(g, g) / (ne * sigma2**2)
     try:
         covariance = np.linalg.inv(hessian)
         if np.any(np.diag(covariance) <= 0):
@@ -253,6 +248,7 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
         converged=converged,
         gradient_norm=grad_norm,
         iterations=iterations,
+        stop_reason=stop_reason,
         n=n,
         n_effective=ne,
         conditioning=cond,

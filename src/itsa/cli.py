@@ -61,7 +61,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
             raise ItsaError(f"config file {args.config} must contain a JSON object")
 
     def pick(flag_value, key, default):
-        if flag_value not in (None, False, ()):
+        if flag_value is not None:
             return flag_value
         if key in file_values:
             return file_values[key]
@@ -313,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--builtin-case-study",
         action="store_true",
+        default=None,  # unset, so that a config file can supply it
         help="use the packaged 114-week OR-holds dataset",
     )
     common.add_argument("--outcome", metavar="NAME", help="outcome column (default: second column)")

@@ -52,15 +52,6 @@ def durbin_watson(residuals) -> float:
     return float(np.sum(np.diff(e) ** 2) / denom)
 
 
-def _difference_matrix(n: int) -> np.ndarray:
-    a = 2.0 * np.eye(n)
-    a[0, 0] = a[-1, -1] = 1.0
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = -1.0
-    a[idx + 1, idx] = -1.0
-    return a
-
-
 def dw_p_value(d: float, design: DesignMatrix) -> DwResult:
     """Left-tail p-value for d under the no-autocorrelation null.
 
@@ -73,13 +64,14 @@ def dw_p_value(d: float, design: DesignMatrix) -> DwResult:
     n, k = x.shape
     if n - k < 2:
         raise FitError(f"design too small for the moment formulas: n - k = {n - k}")
-    a = _difference_matrix(n)
+    # M = I - QQ'; A = D'D (D the first difference) is applied to Q by slicing.
     q, _ = np.linalg.qr(x)
-    m = np.eye(n) - q @ q.T
-    am = a @ m
+    dq = np.diff(q, axis=0)  # DQ
+    aq = np.diff(dq, axis=0, prepend=0.0, append=0.0)  # -AQ
+    qaq = dq.T @ dq
     nk = n - k
-    tr1 = float(np.trace(am))
-    tr2 = float(np.trace(am @ am))
+    tr1 = (2 * n - 2) - float(np.trace(qaq))  # tr A = 2n - 2
+    tr2 = (6 * n - 8) - 2.0 * float(np.sum(aq**2)) + float(np.sum(qaq**2))  # tr A^2 = 6n - 8
     mean = tr1 / nk
     second_moment = (tr1**2 + 2.0 * tr2) / (nk * (nk + 2))
     variance = second_moment - mean**2

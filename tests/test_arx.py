@@ -92,6 +92,38 @@ def central_difference_se(design, fit):
     return np.sqrt(np.diag(np.linalg.inv(0.5 * (hessian + hessian.T))))
 
 
+def lagged_response_design(seed, n=120, phi=0.3):
+    """An outcome that follows last week's covariate, modelled on this week's."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n + 1)
+    u = np.zeros(n)
+    for t in range(1, n):
+        u[t] = phi * u[t - 1] + rng.normal()
+    return make_design(np.column_stack([np.ones(n), x[1:]]), 1.0 + 2.0 * x[:-1] + u, ["intercept", "x"])
+
+
+def rss_hessian_at_ols_start(design, spec):
+    """Half the RSS Hessian, J'J + C, at the OLS start, by central differences of J'e."""
+    x = np.column_stack([design.column(c) for c in spec.exogenous_columns])
+    y, p = design.outcome, spec.order
+    n, k = x.shape
+
+    def half_gradient(theta):
+        beta, phi = theta[:k], theta[k:]
+        u = y - x @ beta
+        e = u[p:] - sum(ph * u[p - j : n - j] for j, ph in enumerate(phi, start=1))
+        de_dbeta = -x[p:] + sum(ph * x[p - j : n - j] for j, ph in enumerate(phi, start=1))
+        jac = np.column_stack([de_dbeta, *[-u[p - j : n - j] for j in range(1, p + 1)]])
+        return jac.T @ e
+
+    theta = np.concatenate([np.linalg.lstsq(x, y, rcond=None)[0], np.zeros(p)])
+    steps = 1e-5 * np.maximum(np.abs(theta), 1.0) * np.eye(len(theta))
+    hessian = np.column_stack(
+        [(half_gradient(theta + d) - half_gradient(theta - d)) / (2.0 * d.max()) for d in steps]
+    )
+    return 0.5 * (hessian + hessian.T)
+
+
 @pytest.fixture(scope="module")
 def occupancy_design():
     data = itsa.load_case_study()
@@ -283,6 +315,17 @@ class TestCaseStudyArx:
     def test_iterations_reported(self, case_fit):
         assert 1 <= case_fit.iterations < MAX_ITERATIONS
 
+    def test_stops_on_the_offset_test(self, case_fit):
+        assert case_fit.stop_reason == "offset"
+        assert "stop_reason" not in case_fit.to_json_dict()
+
+    def test_stops_at_the_iteration_cap(self, occupancy_design, monkeypatch):
+        monkeypatch.setattr("itsa.arx.MAX_ITERATIONS", 1)
+        fit = fit_arx(occupancy_design, ArxSpec(2, ("intercept", "occupancy")))
+        assert fit.stop_reason == "max_iterations"
+        assert fit.iterations == 1
+        assert not fit.converged
+
     def test_level_change_lrt(self, baseline_fit, full_arx_fit):
         result = likelihood_ratio_test(baseline_fit, full_arx_fit)
         assert result.lambda_ == pytest.approx(12.18, abs=0.5)
@@ -306,6 +349,33 @@ class TestCaseStudyArx:
         fit, tiny_fit = fit_arx(occupancy_design, spec), fit_arx(tiny, spec)
         assert tiny_fit.converged is True  # a Python bool, so JSON output can carry it
         assert tiny_fit.phi == pytest.approx(fit.phi, rel=0.0, abs=1e-8)
+
+
+class TestNewtonSteps:
+    def test_cli_grid_step_counts(self, case_study):
+        """The CLI grid with all confounders: Gauss-Newton alone took 187 steps, up to 21 per fit."""
+        confounders = ("admissions", "discharges", "occupancy")
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53), list(confounders))
+        candidates = [("intercept",), *(("intercept", c) for c in confounders), ("intercept", *confounders)]
+        steps = [
+            fit_arx(design, ArxSpec(order, columns), conditioning=3).iterations
+            for columns in candidates
+            for order in range(4)
+        ]
+        assert sum(steps) <= 80, steps
+        assert max(steps) <= 8, steps
+
+    def test_indefinite_hessian_falls_back_to_gauss_newton(self, monkeypatch):
+        """Seed 16, found by search: J'J + C has a negative eigenvalue at the OLS start."""
+        design = lagged_response_design(seed=16)
+        spec = ArxSpec(1, ("intercept", "x"))
+        assert np.linalg.eigvalsh(rss_hessian_at_ols_start(design, spec))[0] < 0
+        fit = fit_arx(design, spec)
+        monkeypatch.setattr("itsa.arx.STOP_TOLERANCE", 0.0)
+        monkeypatch.setattr("itsa.arx.MAX_ITERATIONS", 200)
+        reference = fit_arx(design, spec)
+        assert fit.converged and fit.stop_reason == "offset"
+        assert fit.deviance == pytest.approx(reference.deviance, rel=1e-12, abs=0.0)
 
 
 class TestPredictArx:

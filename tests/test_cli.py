@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from itsa.cli import run
+from itsa.cli import _build_config, build_parser, run
 
 CASE_STUDY_FLAGS = ["--builtin-case-study", "--intervention-week", "53"]
 
@@ -245,6 +245,18 @@ class TestConfigAndUsage:
         code, text = invoke(["fit", "--config", str(cfg), "--format", "table"])
         assert code == 0
         assert "term" in text  # table, not JSON
+
+    def test_zero_valued_flags_override_config(self, tmp_path):
+        cfg = tmp_path / "analysis.json"
+        cfg.write_text(json.dumps({"lag": 2, "arx_max_order": 2}))
+        common = [*CASE_STUDY_FLAGS, "--config", str(cfg), "--format", "json"]
+        code, text = invoke(["fit", *common, "--lag", "0"])
+        assert code == 0
+        # the lag-0 estimate; the config file's lag 2 gives -15.3756
+        assert json.loads(text)["coefficients"]["intervention"]["estimate"] == pytest.approx(-17.0587, abs=1e-4)
+        args = build_parser().parse_args(["arx", *common, "--lag", "0", "--arx-max-order", "0"])
+        config = _build_config(args)
+        assert (config.lag, config.arx_max_order, config.builtin_case_study) == (0, 0, True)
 
     def test_invalid_config_payload(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -9,7 +9,9 @@ key by key, with numbers within 1e-9 relative, so that BLAS rounding
 cannot fail the test; its layout is checked by re-serializing it.
 
 Regenerate the file (only for an intended change of output) with
-`PYTHONPATH=src python tests/test_cli_golden.py`.
+`PYTHONPATH=src python tests/test_cli_golden.py`. Naming cases, as in
+`PYTHONPATH=src python tests/test_cli_golden.py arx/all/json fit/lag2/table`,
+re-captures only those and keeps every other stored case as it is.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -127,11 +130,18 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    cases = golden_cases()
+    names = sys.argv[1:] or list(cases)
+    unknown = [name for name in names if name not in cases]
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        captured = {name: capture(argv, pathlib.Path(tmp)) for name, argv in golden_cases().items()}
+        captured = {name: capture(cases[name], pathlib.Path(tmp)) for name in names}
     for result in captured.values():  # JSON output is stored parsed, to be compared by value
         if "json" in result["argv"] and result["out"].startswith("{"):
             result["json"] = json.loads(result.pop("out"))
+    stored = {**GOLDEN, **captured}
+    merged = {name: stored[name] for name in cases if name in stored}  # in golden_cases() order
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(captured, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(captured)} cases to {GOLDEN_PATH}")
+    GOLDEN_PATH.write_text(json.dumps(merged, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(captured)} of {len(merged)} cases to {GOLDEN_PATH}")

@@ -23,6 +23,21 @@ def make_design(matrix, y, names=None):
     )
 
 
+def dense_dw_moments(x):
+    """Null mean and variance of d from the n x n matrices A, M = I - QQ' and AM."""
+    n, k = x.shape
+    a = 2.0 * np.eye(n)
+    a[0, 0] = a[-1, -1] = 1.0
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = a[idx + 1, idx] = -1.0
+    q, _ = np.linalg.qr(x)
+    am = a @ (np.eye(n) - q @ q.T)
+    tr1, tr2 = np.trace(am), np.trace(am @ am)
+    nk = n - k
+    mean = tr1 / nk
+    return mean, (tr1**2 + 2.0 * tr2) / (nk * (nk + 2)) - mean**2
+
+
 def ks_against_uniform(values):
     u = np.sort(values)
     n = len(u)
@@ -116,6 +131,18 @@ class TestDwPValue:
         result = dw_p_value(d, full_design)
         assert d == pytest.approx(1.9795, abs=1e-3)
         assert result.p_value == pytest.approx(0.333, abs=0.01)
+
+    @pytest.mark.parametrize("n", [20, 114, 500])
+    def test_moments_match_dense_formula(self, n, full_design, rng):
+        if n == full_design.n:  # the 114-week case study
+            design = full_design
+        else:
+            x = np.column_stack([np.ones(n), np.arange(n, dtype=float), rng.normal(size=(n, 3))])
+            design = make_design(x, rng.normal(size=n))
+        mean, variance = dense_dw_moments(design.matrix)
+        result = dw_p_value(2.0, design)
+        assert result.null_mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert result.null_variance == pytest.approx(variance, rel=1e-12, abs=0.0)
 
 
 class TestAcf:
