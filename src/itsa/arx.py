@@ -65,7 +65,6 @@ class ArxFit:
     deviance: float
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
     converged: bool
-    gradient_norm: float
     iterations: int  # accepted Newton or Gauss-Newton steps
     stop_reason: str  # "offset", "max_iterations" or "no_descent"
     n: int
@@ -74,7 +73,6 @@ class ArxFit:
     param_count: int  # order + exogenous + innovation variance
     stationary: bool
     label: str = ""
-    method: str = "conditional-gaussian-ml"
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,10 +133,6 @@ class SelectionResult:
     message: str = ""
 
 
-def _split_columns(design: DesignMatrix, spec: ArxSpec) -> np.ndarray:
-    return np.column_stack([design.column(name) for name in spec.exogenous_columns])
-
-
 def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None) -> ArxFit:
     """Maximize the conditional Gaussian likelihood over (beta, phi).
 
@@ -148,14 +142,13 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     beta and phi. It is found by safeguarded Newton steps from the plain-OLS
     starting point, and the covariance is the inverse of the exact Hessian of
     the profiled negative log-likelihood. Nonconvergence is reported through
-    the `converged` flag, not silently ignored; `gradient_norm` is kept as
-    telemetry.
+    the `converged` flag, not silently ignored.
     """
     p = spec.order
     cond = p if conditioning is None else conditioning
     if cond < p:
         raise FitError(f"conditioning window {cond} is smaller than the order {p}")
-    x = _split_columns(design, spec)
+    x = design.columns(spec.exogenous_columns)
     y = design.outcome
     n, k = x.shape
     if n <= 2 * (p + k):
@@ -211,7 +204,6 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
         iterations += 1
     log_likelihood = -0.5 * ne * (math.log(2.0 * math.pi * rss / ne) + 1.0)
     sigma2 = rss / ne
-    grad_norm = float(np.max(np.abs(g))) / sigma2
     converged = offset <= OFFSET_TOLERANCE
     beta, phi = theta[:k], theta[k:]
 
@@ -246,7 +238,6 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
         deviance=-2.0 * log_likelihood,
         residuals=e,
         converged=converged,
-        gradient_norm=grad_norm,
         iterations=iterations,
         stop_reason=stop_reason,
         n=n,
@@ -282,7 +273,7 @@ def predict_arx(fit: ArxFit, design: DesignMatrix) -> np.ndarray:
     The first `conditioning` entries have no lagged errors available and
     are returned as NaN rather than extrapolated.
     """
-    x = np.column_stack([design.column(name) for name in fit.exogenous_columns])
+    x = design.columns(fit.exogenous_columns)
     y = design.outcome
     beta = np.array([fit.beta[c] for c in fit.exogenous_columns])
     u = y - x @ beta
@@ -324,7 +315,6 @@ def select_baseline(
 
     n_common = design.n - max_order
     trace: list[CandidateRecord] = []
-    specs: list[ArxSpec] = []
     for columns in candidate_exogenous:
         columns = tuple(columns)
         for order in range(max_order + 1):
@@ -350,19 +340,17 @@ def select_baseline(
                     admissible=admissible,
                 )
             )
-            specs.append(spec)
 
-    order_by_bic = sorted(range(len(trace)), key=lambda i: trace[i].bic)
-    ranked = tuple(trace[i] for i in order_by_bic)
-    admissible = [i for i in order_by_bic if trace[i].admissible]
-    if not admissible:
+    ranked = tuple(sorted(trace, key=lambda rec: rec.bic))
+    winner = next((rec for rec in ranked if rec.admissible), None)
+    if winner is None:
         return SelectionResult(
             best=None,
             trace=ranked,
             message="no candidate passed the residual whiteness check",
         )
-    winner = specs[admissible[0]]
-    best = fit_arx(design, winner)  # natural conditioning window for reporting
+    spec = ArxSpec(winner.order, winner.exogenous_columns, winner.label)
+    best = fit_arx(design, spec)  # natural conditioning window for reporting
     return SelectionResult(best=best, trace=ranked, message=f"selected {winner.label}")
 
 
@@ -394,27 +382,15 @@ def likelihood_ratio_test(baseline: ArxFit, full: ArxFit, alpha: float = 0.05) -
             f"negative likelihood-ratio statistic ({lam:.6g}): the full-model "
             "optimizer found a worse optimum than the nested baseline"
         )
-    df = full.param_count - baseline.param_count
-    if df == 0:
-        return LrtResult(
-            lambda_=lam,
-            deviance_baseline=baseline.deviance,
-            deviance_full=full.deviance,
-            df=0,
-            critical_value=0.0,
-            p_value=1.0,
-            significant=False,
-            alpha=alpha,
-        )
-    critical = chi_square_quantile(1.0 - alpha, df)
-    p = chi_square_sf(max(lam, 0.0), df)
+    df = full.param_count - baseline.param_count  # 0 when the fits have the same terms
+    critical = chi_square_quantile(1.0 - alpha, df) if df > 0 else 0.0
     return LrtResult(
         lambda_=lam,
         deviance_baseline=baseline.deviance,
         deviance_full=full.deviance,
         df=df,
         critical_value=critical,
-        p_value=p,
-        significant=lam > critical,
+        p_value=chi_square_sf(max(lam, 0.0), df) if df > 0 else 1.0,
+        significant=df > 0 and lam > critical,
         alpha=alpha,
     )

@@ -56,34 +56,48 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     file_values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ItsaError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ItsaError(f"config file {args.config} must contain a JSON object")
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    confounders = pick(args.confounders, "confounders", "")
-    if isinstance(confounders, str):
-        confounders = [c.strip() for c in confounders.split(",") if c.strip()]
-
+    values = {}
+    _, flags = _common_flags()
+    for key, flag in flags.items():
+        value = getattr(args, flag.dest)
+        if value is None and file_values.get(key) is not None:
+            value = _config_value(args.config, key, file_values[key], flag)
+        if value is not None:
+            values[key] = value
+    confounders = values.pop("confounders", "")
     config = AnalysisConfig(
-        data_path=pick(args.data, "data_path", None),
-        builtin_case_study=bool(pick(args.builtin_case_study, "builtin_case_study", False)),
-        outcome_column=pick(args.outcome, "outcome_column", None),
-        intervention_week=pick(args.intervention_week, "intervention_week", None),
-        lag=int(pick(args.lag, "lag", 0)),
-        confounders=tuple(confounders),
-        arx_max_order=int(pick(args.arx_max_order, "arx_max_order", 3)),
-        ci_level=float(pick(args.ci_level, "ci_level", 0.95)),
-        output_format=pick(args.format, "output_format", "table"),
+        **values, confounders=tuple(c.strip() for c in confounders.split(",") if c.strip())
     )
     config.validate()
     return config
+
+
+def _config_value(path: str, key: str, value, flag: argparse.Action):
+    """A config-file value, checked and converted as the flag's argument would be."""
+    if key == "confounders" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        value = ",".join(value)
+    if flag.nargs == 0:  # a switch, such as --builtin-case-study
+        valid = isinstance(value, bool)
+    else:
+        valid = isinstance(value, str) or (flag.type is not None and type(value) in (int, float))
+        if valid and flag.type is not None:
+            try:
+                value = flag.type(str(value))
+            except ValueError:
+                valid = False
+        valid = valid and (flag.choices is None or value in flag.choices)
+    if not valid:
+        raise ItsaError(
+            f"config file {path}: {key} = {value!r} is not a valid {flag.option_strings[0]} value"
+        )
+    return value
 
 
 def _load_dataset(config: AnalysisConfig) -> dataset_mod.TimeSeriesDataset:
@@ -306,24 +320,34 @@ def _cmd_export(config: AnalysisConfig, args) -> tuple[None, str]:
 
 
 @functools.cache
+def _common_flags() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The flags every subcommand takes, keyed by the config-file key each overrides."""
+    common = argparse.ArgumentParser(add_help=False)
+    flag = common.add_argument
+    flags = {
+        "data_path": flag("--data", metavar="PATH", help="input CSV (week column first)"),
+        "builtin_case_study": flag(  # default None: unset, so that a config file can supply it
+            "--builtin-case-study", action="store_true", default=None,
+            help="use the packaged 114-week OR-holds dataset"),
+        "outcome_column": flag(
+            "--outcome", metavar="NAME", help="outcome column (default: second column)"),
+        "intervention_week": flag("--intervention-week", type=int, metavar="N"),
+        "lag": flag(
+            "--lag", type=int, metavar="N", help="weeks before the intervention takes effect"),
+        "confounders": flag(
+            "--confounders", metavar="A,B,C", help="comma-separated covariate names"),
+        "arx_max_order": flag("--arx-max-order", type=int, metavar="P"),
+        "ci_level": flag("--ci-level", type=float),
+        "output_format": flag("--format", choices=["table", "json", "csv"]),
+    }
+    flag("--config", metavar="PATH", help="JSON config file; flags take precedence")
+    return common, flags
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parsing does not change it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", metavar="PATH", help="input CSV (week column first)")
-    common.add_argument(
-        "--builtin-case-study",
-        action="store_true",
-        default=None,  # unset, so that a config file can supply it
-        help="use the packaged 114-week OR-holds dataset",
-    )
-    common.add_argument("--outcome", metavar="NAME", help="outcome column (default: second column)")
-    common.add_argument("--intervention-week", type=int, metavar="N")
-    common.add_argument("--lag", type=int, default=None, metavar="N", help="weeks before the intervention takes effect")
-    common.add_argument("--confounders", metavar="A,B,C", help="comma-separated covariate names")
-    common.add_argument("--arx-max-order", type=int, default=None, metavar="P")
-    common.add_argument("--ci-level", type=float, default=None)
-    common.add_argument("--format", choices=["table", "json", "csv"], default=None)
-    common.add_argument("--config", metavar="PATH", help="JSON config file; flags take precedence")
+    common, _ = _common_flags()
 
     def add_command(subparsers, name: str, handler, help_text: str) -> argparse.ArgumentParser:
         command = subparsers.add_parser(name, parents=[common], help=help_text)

@@ -113,12 +113,15 @@ class DesignMatrix:
         except ValueError:
             raise DesignError(f"no column named {name!r}") from None
 
+    def columns(self, names: tuple[str, ...] | list[str]) -> np.ndarray:
+        """New row-major matrix of the named columns, in the given order."""
+        return self.matrix.take([self.column_index(name) for name in names], axis=1)
+
     def subset(self, names: tuple[str, ...] | list[str]) -> "DesignMatrix":
         """New design keeping only the named columns, in the given order."""
-        idx = [self.column_index(n) for n in names]
         return replace(
             self,
-            matrix=self.matrix[:, idx].copy(),
+            matrix=self.columns(names),
             column_names=tuple(names),
             intervention_columns=tuple(c for c in self.intervention_columns if c in names),
         )
@@ -152,11 +155,13 @@ def build_design(
     (matching the analysis-ready coding of the packaged case study) and
     increments weekly.
     """
-    for name in confounders:
+    for i, name in enumerate(confounders):
         if name not in dataset.covariate_names:
             raise DesignError(
                 f"unknown confounder {name!r}; dataset has {list(dataset.covariate_names)}"
             )
+        if name in confounders[:i]:
+            raise DesignError(f"confounder {name!r} is listed more than once")
     weeks = dataset.weeks.astype(float)
     changepoint = spec.effective_week
     if changepoint < weeks[0]:

@@ -23,7 +23,6 @@ class DwResult:
     p_value: float  # one-sided, against positive autocorrelation
     null_mean: float
     null_variance: float
-    method: str = "moment-normal-approximation"
 
 
 @dataclass(frozen=True)

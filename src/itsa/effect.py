@@ -87,8 +87,7 @@ def _model_matrices(fit, design: DesignMatrix):
         method = "arx"
     else:
         raise FitError(f"unsupported fit type {type(fit).__name__}")
-    cols = [design.column_index(name) for name in names]
-    return beta, cov, method, design.matrix[:, cols], design.zero_intervention().matrix[:, cols]
+    return beta, cov, method, design.columns(names), design.zero_intervention().columns(names)
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Ordinary least squares for segmented regression.
 
-Coefficients are solved through a pivoted QR factorization rather than
-the normal equations, with a column-norm-relative rank tolerance, so a
-collinear design is reported by name instead of silently producing
+Coefficients are solved through an unpivoted QR factorization rather
+than the normal equations. A design is rank deficient when a column's
+distance from the span of the columns before it is tiny relative to the
+column's own norm, a test that does not depend on the columns' scales;
+the first such column is reported by name instead of silently producing
 garbage. Inference uses the unbiased residual variance; the deviance
 uses the Gaussian maximum-likelihood plug-in variance.
 """
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignMatrix
 from .distributions import student_t_two_sided_p
@@ -65,28 +66,28 @@ class OlsFit:
 
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
-    """Fit the design by pivoted-QR least squares with Student-t inference."""
+    """Fit the design by QR least squares with Student-t inference.
+
+    Raises `FitError` naming the first column that depends linearly on the
+    columns before it.
+    """
     x = design.matrix
     y = design.outcome
     n, k = x.shape
     if n <= k:
         raise FitError(f"need more observations than parameters: n={n}, k={k}")
 
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    col_norms = np.linalg.norm(x, axis=0)
-    diag = np.abs(np.diag(r))
-    for i in range(k):
-        ref = max(col_norms[piv[i]], diag[0])
-        if diag[i] <= RANK_TOLERANCE * ref:
-            raise FitError(
-                f"design is rank deficient: column {design.column_names[piv[i]]!r} "
-                "is linearly dependent on the others"
-            )
+    q, r = np.linalg.qr(x)
+    # |R_jj| is column j's distance from the span of the columns before it
+    dependent = np.abs(np.diag(r)) <= RANK_TOLERANCE * np.linalg.norm(x, axis=0)
+    if dependent.any():
+        raise FitError(
+            f"design is rank deficient: column {design.column_names[np.argmax(dependent)]!r} "
+            "is linearly dependent on the columns before it"
+        )
 
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
-    beta = np.empty(k)
-    beta[piv] = beta_piv
-
+    r_inv = np.linalg.inv(r)  # LU of a triangular R swaps no rows: a triangular inverse
+    beta = r_inv @ (q.T @ y)
     fitted = x @ beta
     residuals = y - fitted
     rss = float(residuals @ residuals)
@@ -94,12 +95,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     sigma2_unbiased = rss / df
     sigma2_mle = rss / n
 
-    # (X'X)^-1 from the R factor, undoing the pivot
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
-    xtx_inv_piv = r_inv @ r_inv.T
-    xtx_inv = np.empty_like(xtx_inv_piv)
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
-    covariance = sigma2_unbiased * xtx_inv
+    covariance = sigma2_unbiased * (r_inv @ r_inv.T)  # (X'X)^-1 = R^-1 R^-T
 
     se = np.sqrt(np.diag(covariance))
     t_stats = beta / se
@@ -138,7 +134,7 @@ def gaussian_deviance(fit: OlsFit) -> float:
     """-2 x Gaussian log-likelihood at the MLE plug-in variance RSS/n."""
     if _effectively_interpolating(fit.rss, fit.fitted):
         raise FitError("deviance is unbounded for an interpolating fit (RSS = 0)")
-    return fit.n * (math.log(2.0 * math.pi * fit.sigma2_mle) + 1.0)
+    return fit.deviance
 
 
 def predict(fit: OlsFit, design: DesignMatrix) -> np.ndarray:

@@ -102,6 +102,11 @@ class TestFitCommand:
         assert code == 1
         assert "rank deficient" in capsys.readouterr().err
 
+    def test_repeated_confounder_exits_1(self, capsys):
+        code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
+        assert code == 1
+        assert "'occupancy' is listed more than once" in capsys.readouterr().err
+
 
 class TestDiagnoseCommand:
     def test_json_values(self):
@@ -264,6 +269,34 @@ class TestConfigAndUsage:
         code, _ = invoke(["fit", "--config", str(cfg)])
         assert code == 1
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, key", [
+        ("{bad", None),
+        ({"intervention_week": "5x"}, "intervention_week"),
+        ({"intervention_week": 53.5}, "intervention_week"),
+        ({"lag": True}, "lag"),
+        ({"confounders": 5}, "confounders"),
+        ({"confounders": ["occupancy", 5]}, "confounders"),
+        ({"ci_level": "abc"}, "ci_level"),
+        ({"output_format": "xml"}, "output_format"),
+        ({"builtin_case_study": "yes"}, "builtin_case_study"),
+    ])
+    def test_invalid_config_value_exits_1(self, tmp_path, capsys, values, key):
+        cfg = tmp_path / "analysis.json"
+        if isinstance(values, dict):
+            values = json.dumps({"builtin_case_study": True, "intervention_week": 53, **values})
+        cfg.write_text(values)
+        assert invoke(["fit", "--config", str(cfg)]) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}")
+        assert key is None or f": {key} = " in err
+
+    def test_config_strings_parse_as_flags(self, tmp_path):
+        cfg = tmp_path / "analysis.json"
+        cfg.write_text(json.dumps({"intervention_week": "53", "ci_level": "0.9"}))
+        argv = ["effect", "--builtin-case-study", "--week", "54"]
+        assert invoke([*argv, "--config", str(cfg)]) == invoke(
+            [*argv, "--intervention-week", "53", "--ci-level", "0.9"])
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -58,6 +58,10 @@ class TestBuildDesign:
         with pytest.raises(DesignError, match="unknown confounder"):
             build_design(case_study_module, InterventionSpec(53), ["nope"])
 
+    def test_repeated_confounder(self, case_study_module):
+        with pytest.raises(DesignError, match="confounder 'occupancy' is listed more than once"):
+            build_design(case_study_module, InterventionSpec(53), ["occupancy", "occupancy"])
+
     def test_changepoint_before_first_week(self):
         late_start = itsa.parse_csv("week,y\n5,1\n6,2\n7,3\n")
         with pytest.raises(DesignError, match="before the first week"):

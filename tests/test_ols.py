@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +68,16 @@ class TestFitOls:
         d = make_design(x, rng.normal(size=30), ["intercept", "a", "doubled_a"])
         with pytest.raises(FitError, match="rank deficient.*'(a|doubled_a)'"):
             fit_ols(d)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    def test_rank_test_ignores_column_scale(self, full_design, full_fit, scale):
+        """A full-rank design stays full rank, with the same fit, when a column shrinks."""
+        j = full_design.column_index("occupancy")
+        matrix = full_design.matrix.copy()
+        matrix[:, j] *= scale
+        beta = fit_ols(replace(full_design, matrix=matrix)).beta
+        beta[j] *= scale
+        assert np.allclose(beta, full_fit.beta, rtol=1e-9, atol=0)
 
     def test_more_parameters_than_rows(self, rng):
         x = rng.normal(size=(3, 4))
@@ -166,3 +180,13 @@ class TestPredict:
         fit = fit_ols(design)
         week54 = predict(fit, design)[53]
         assert week54 == pytest.approx(11, abs=1.5)
+
+
+def test_import_loads_no_scipy_linalg_or_optimize():
+    """Only `scipy.special` is needed; `scipy.linalg` alone adds about 7 MB to start-up."""
+    src = os.path.dirname(os.path.dirname(itsa.__file__))
+    code = "import sys, itsa; print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
