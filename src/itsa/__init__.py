@@ -27,7 +27,6 @@ from .dataset import (
 from .design import (
     DesignMatrix,
     InterventionSpec,
-    TimeCodingConvention,
     build_design,
     recode_time,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "OlsFit",
     "SegmentSummary",
     "SelectionResult",
-    "TimeCodingConvention",
     "TimeSeriesDataset",
     "acf",
     "arx_deviance",

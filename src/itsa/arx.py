@@ -159,11 +159,8 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
         """One-step residuals for t = cond..n-1 (0-based) and their Jacobian."""
         beta, phi = theta[:k], theta[k:]
         u = y - x @ beta
-        e, de_dbeta = u[cond:].copy(), -x[cond:].copy()
-        for j, ph in enumerate(phi, start=1):
-            e -= ph * u[cond - j : n - j]
-            de_dbeta += ph * x[cond - j : n - j]
-        return e, np.column_stack([de_dbeta, *(-u[cond - j : n - j] for j in range(1, p + 1))])
+        lagged_u = (u[cond - j : n - j] for j in range(1, p + 1))
+        return _ar_filter(u, phi, cond), -np.column_stack([_ar_filter(x, phi, cond), *lagged_u])
 
     # Newton steps from the OLS point, or the Gauss-Newton step where the exact
     # RSS Hessian J'J + C is not positive definite. A step is halved while it
@@ -249,6 +246,15 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     )
 
 
+def _ar_filter(z: np.ndarray, phi, cond: int) -> np.ndarray:
+    """z_t - sum_j phi_j z_{t-j} for t = cond..n-1, rows of a vector or a matrix."""
+    n = len(z)
+    out = z[cond:].copy()
+    for j, ph in enumerate(phi, start=1):
+        out -= ph * z[cond - j : n - j]
+    return out
+
+
 def _is_stationary(phi: np.ndarray) -> bool:
     if len(phi) == 0 or not np.any(phi):
         return True
@@ -275,15 +281,9 @@ def predict_arx(fit: ArxFit, design: DesignMatrix) -> np.ndarray:
     """
     x = design.columns(fit.exogenous_columns)
     y = design.outcome
-    beta = np.array([fit.beta[c] for c in fit.exogenous_columns])
-    u = y - x @ beta
-    n = len(y)
-    cond = fit.conditioning
-    yhat = x[cond:] @ beta
-    for j, ph in enumerate(fit.phi, start=1):
-        yhat = yhat + ph * u[cond - j : n - j]
-    out = np.full(n, np.nan)
-    out[cond:] = yhat
+    u = y - x @ np.array([fit.beta[c] for c in fit.exogenous_columns])
+    out = np.full(len(y), np.nan)
+    out[fit.conditioning:] = y[fit.conditioning:] - _ar_filter(u, fit.phi, fit.conditioning)
     return out
 
 
@@ -291,8 +291,6 @@ def select_baseline(
     design: DesignMatrix,
     max_order: int,
     candidate_exogenous: list[tuple[str, ...]] | list[list[str]],
-    whiteness_lags: int = WHITENESS_LAGS,
-    whiteness_alpha: float = WHITENESS_ALPHA,
 ) -> SelectionResult:
     """Grid-search orders 0..max_order x exogenous sets for the baseline model.
 
@@ -300,8 +298,8 @@ def select_baseline(
     All candidates are scored on a common estimation window (the first
     `max_order` observations held fixed) so their likelihoods are
     comparable, then ranked by BIC among fits whose residuals pass a
-    Ljung-Box whiteness check. The winner is refit on its own natural
-    window before being returned.
+    Ljung-Box whiteness check (WHITENESS_LAGS lags, p > WHITENESS_ALPHA).
+    The winner is refit on its own natural window before being returned.
     """
     if max_order < 0:
         raise FitError(f"max_order must be non-negative, got {max_order}")
@@ -322,12 +320,12 @@ def select_baseline(
             spec = ArxSpec(order=order, exogenous_columns=columns, label=label)
             fit = fit_arx(design, spec, conditioning=max_order)
             bic = fit.deviance + fit.param_count * math.log(n_common)
-            if whiteness_lags > order:
-                lb = ljung_box(fit.residuals, whiteness_lags, fitted_params=order)
+            if WHITENESS_LAGS > order:
+                lb = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=order)
                 whiteness_p = lb.p_value
             else:
                 whiteness_p = math.nan
-            admissible = fit.converged and whiteness_p > whiteness_alpha
+            admissible = fit.converged and whiteness_p > WHITENESS_ALPHA
             trace.append(
                 CandidateRecord(
                     label=label,

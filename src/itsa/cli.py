@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +30,14 @@ COEF_PRECISION = 4
 P_PRECISION = 3
 
 
-@dataclass
-class AnalysisConfig:
-    data_path: str | None = None
-    builtin_case_study: bool = False
-    outcome_column: str | None = None
-    intervention_week: int | None = None
-    lag: int = 0
-    confounders: tuple[str, ...] = ()
-    arx_max_order: int = 3
-    ci_level: float = 0.95
-    output_format: str = "table"
-
-    def validate(self) -> None:
-        if not 0.0 < self.ci_level < 1.0:
-            raise ItsaError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if self.intervention_week is not None and self.intervention_week < 1:
-            raise ItsaError(f"intervention week must be >= 1, got {self.intervention_week}")
-        if not self.builtin_case_study and self.data_path is None:
-            raise ItsaError("no input: pass --data PATH or --builtin-case-study")
+# The value of each setting that neither a flag nor the --config file gives.
+_DEFAULTS = {"data_path": None, "builtin_case_study": False, "outcome_column": None,
+             "intervention_week": None, "lag": 0, "confounders": "", "arx_max_order": 3,
+             "ci_level": 0.95, "output_format": "table"}
 
 
-def _build_config(args: argparse.Namespace) -> AnalysisConfig:
+def _fill_settings(args: argparse.Namespace) -> None:
+    """Set each unset common flag from the --config file, else from _DEFAULTS, and check them."""
     file_values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -63,20 +48,23 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         if not isinstance(file_values, dict):
             raise ItsaError(f"config file {args.config} must contain a JSON object")
 
-    values = {}
     _, flags = _common_flags()
+    for key, value in file_values.items():
+        if key not in flags:
+            raise ItsaError(f"config file {args.config}: {key} = {value!r} is not a setting; "
+                            f"the settings are {', '.join(flags)}")
     for key, flag in flags.items():
-        value = getattr(args, flag.dest)
-        if value is None and file_values.get(key) is not None:
-            value = _config_value(args.config, key, file_values[key], flag)
-        if value is not None:
-            values[key] = value
-    confounders = values.pop("confounders", "")
-    config = AnalysisConfig(
-        **values, confounders=tuple(c.strip() for c in confounders.split(",") if c.strip())
-    )
-    config.validate()
-    return config
+        if getattr(args, key) is None:
+            value = file_values.get(key)
+            setattr(args, key, _DEFAULTS[key] if value is None
+                    else _config_value(args.config, key, value, flag))
+    args.confounders = tuple(c.strip() for c in args.confounders.split(",") if c.strip())
+    if not 0.0 < args.ci_level < 1.0:
+        raise ItsaError(f"ci_level must lie in (0, 1), got {args.ci_level}")
+    if args.intervention_week is not None and args.intervention_week < 1:
+        raise ItsaError(f"intervention week must be >= 1, got {args.intervention_week}")
+    if not args.builtin_case_study and args.data_path is None:
+        raise ItsaError("no input: pass --data PATH or --builtin-case-study")
 
 
 def _config_value(path: str, key: str, value, flag: argparse.Action):
@@ -100,23 +88,23 @@ def _config_value(path: str, key: str, value, flag: argparse.Action):
     return value
 
 
-def _load_dataset(config: AnalysisConfig) -> dataset_mod.TimeSeriesDataset:
-    if config.builtin_case_study:
+def _load_dataset(args: argparse.Namespace) -> dataset_mod.TimeSeriesDataset:
+    if args.builtin_case_study:
         ds = dataset_mod.load_case_study()
     else:
-        with open(config.data_path, encoding="utf-8") as fh:
-            ds = dataset_mod.parse_csv(fh, intervention_week=config.intervention_week)
-    if config.outcome_column:
-        ds = ds.with_outcome(config.outcome_column)
+        with open(args.data_path, encoding="utf-8") as fh:
+            ds = dataset_mod.parse_csv(fh, intervention_week=args.intervention_week)
+    if args.outcome_column:
+        ds = ds.with_outcome(args.outcome_column)
     return ds
 
 
-def _build_case_design(config: AnalysisConfig) -> design_mod.DesignMatrix:
-    ds = _load_dataset(config)
-    if config.intervention_week is None:
+def _build_case_design(args: argparse.Namespace) -> design_mod.DesignMatrix:
+    ds = _load_dataset(args)
+    if args.intervention_week is None:
         raise ItsaError("this command needs --intervention-week")
-    spec = design_mod.InterventionSpec(config.intervention_week, config.lag)
-    design = design_mod.build_design(ds, spec, list(config.confounders))
+    spec = design_mod.InterventionSpec(args.intervention_week, args.lag)
+    design = design_mod.build_design(ds, spec, list(args.confounders))
     after = int(design.column(design_mod.INTERVENTION).sum())
     if min(after, design.n - after) < 2:  # else time_after duplicates another column
         raise ItsaError(
@@ -131,15 +119,15 @@ def _fmt(value: float, precision: int = COEF_PRECISION) -> str:
     return f"{value:.{precision}f}"
 
 
-def _cmd_validate(config: AnalysisConfig, args) -> tuple[None, str]:
-    ds = _load_dataset(config)
+def _cmd_validate(args) -> tuple[None, str]:
+    ds = _load_dataset(args)
     return None, (f"ok: {len(ds)} records, outcome {ds.outcome_name!r}, "
                   f"covariates {list(ds.covariate_names)}\n")
 
 
-def _cmd_summary(config: AnalysisConfig, args) -> tuple[dict, str]:
-    ds = _load_dataset(config)
-    split = args.split_week if args.split_week is not None else config.intervention_week
+def _cmd_summary(args) -> tuple[dict, str]:
+    ds = _load_dataset(args)
+    split = args.split_week if args.split_week is not None else args.intervention_week
     if split is None:
         raise ItsaError("data summary needs --split-week or --intervention-week")
     s = dataset_mod.summarize(ds, split)
@@ -156,8 +144,8 @@ def _cmd_summary(config: AnalysisConfig, args) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def _cmd_fit(config: AnalysisConfig, args) -> tuple[dict, str]:
-    fit = ols_mod.fit_ols(_build_case_design(config))
+def _cmd_fit(args) -> tuple[dict, str]:
+    fit = ols_mod.fit_ols(_build_case_design(args))
     header = f"{'term':<16}{'coef':>12}{'se':>12}{'t':>10}{'p':>9}"
     lines = [header, "-" * len(header)]
     for name in fit.column_names:
@@ -172,8 +160,8 @@ def _cmd_fit(config: AnalysisConfig, args) -> tuple[dict, str]:
     return fit.to_json_dict(), "\n".join(lines) + "\n"
 
 
-def _cmd_diagnose(config: AnalysisConfig, args) -> tuple[dict, str]:
-    design = _build_case_design(config)
+def _cmd_diagnose(args) -> tuple[dict, str]:
+    design = _build_case_design(args)
     fit = ols_mod.fit_ols(design)
     d = diag_mod.durbin_watson(fit.residuals)
     dw = diag_mod.dw_p_value(d, design)
@@ -210,19 +198,19 @@ def _refit_with(design: design_mod.DesignMatrix, fit: arx_mod.ArxFit, column: st
     return arx_mod.fit_arx(design, spec)
 
 
-def _select_and_fit_level_change(config: AnalysisConfig, design: design_mod.DesignMatrix):
+def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.DesignMatrix):
     """Select the ARX baseline, then refit it with the intervention level change added."""
     selection = arx_mod.select_baseline(
-        design, config.arx_max_order, _candidate_sets(config.confounders)
+        design, args.arx_max_order, _candidate_sets(args.confounders)
     )
     if selection.best is None:
         raise ItsaError(selection.message)
     return selection, _refit_with(design, selection.best, "intervention", "full (level change)")
 
 
-def _cmd_arx(config: AnalysisConfig, args) -> tuple[dict, str]:
-    design = _build_case_design(config)
-    selection, full = _select_and_fit_level_change(config, design)
+def _cmd_arx(args) -> tuple[dict, str]:
+    design = _build_case_design(args)
+    selection, full = _select_and_fit_level_change(args, design)
     baseline = selection.best
     level_test = arx_mod.likelihood_ratio_test(baseline, full)
     with_trend = _refit_with(design, full, "time_after", "full (level + trend change)")
@@ -258,15 +246,15 @@ def _cmd_arx(config: AnalysisConfig, args) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def _cmd_effect(config: AnalysisConfig, args) -> tuple[dict, str]:
-    design = _build_case_design(config)
+def _cmd_effect(args) -> tuple[dict, str]:
+    design = _build_case_design(args)
     fit = ols_mod.fit_ols(design)
     if args.week is not None:
-        estimate = effect_mod.effect_at(fit, design, args.week, config.ci_level)
+        estimate = effect_mod.effect_at(fit, design, args.week, args.ci_level)
         rel = ("undefined" if estimate.relative_change is None
                else f"{estimate.relative_change:.1f}%")
         ci = ("" if estimate.ci_lower is None
-              else f"  {int(config.ci_level * 100)}% CI "
+              else f"  {int(args.ci_level * 100)}% CI "
                    f"({estimate.ci_lower:.1f}%, {estimate.ci_upper:.1f}%)")
         return estimate.to_json_dict(), (
             f"week {estimate.week}: observed={_fmt(estimate.observed)} "
@@ -276,8 +264,8 @@ def _cmd_effect(config: AnalysisConfig, args) -> tuple[dict, str]:
             f"relative change={rel}{ci}\n"
         )
 
-    series = effect_mod.effect_series(fit, design, config.ci_level)
-    if config.output_format == "csv":
+    series = effect_mod.effect_series(fit, design, args.ci_level)
+    if args.output_format == "csv":
         lines = ["week,observed,fitted,counterfactual,absolute_change,relative_change"]
         for e in series.estimates:
             rel = "" if e.relative_change is None else f"{e.relative_change:.6g}"
@@ -297,8 +285,8 @@ def _cmd_effect(config: AnalysisConfig, args) -> tuple[dict, str]:
     return series.to_json_dict(), "\n".join(lines) + "\n"
 
 
-def _cmd_export(config: AnalysisConfig, args) -> tuple[None, str]:
-    design = _build_case_design(config)
+def _cmd_export(args) -> tuple[None, str]:
+    design = _build_case_design(args)
     fit = ols_mod.fit_ols(design)
     columns = {
         "observed": design.outcome,
@@ -306,7 +294,7 @@ def _cmd_export(config: AnalysisConfig, args) -> tuple[None, str]:
         "counterfactual": effect_mod.counterfactual_series(fit, design),
     }
     if args.arx:
-        _, full = _select_and_fit_level_change(config, design)
+        _, full = _select_and_fit_level_change(args, design)
         columns["arx_fitted"] = arx_mod.predict_arx(full, design)  # NaN: no lagged errors yet
 
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -321,27 +309,25 @@ def _cmd_export(config: AnalysisConfig, args) -> tuple[None, str]:
 
 @functools.cache
 def _common_flags() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
-    """The flags every subcommand takes, keyed by the config-file key each overrides."""
+    """The flags every subcommand takes, keyed by their dests, which are the config-file keys."""
     common = argparse.ArgumentParser(add_help=False)
     flag = common.add_argument
-    flags = {
-        "data_path": flag("--data", metavar="PATH", help="input CSV (week column first)"),
-        "builtin_case_study": flag(  # default None: unset, so that a config file can supply it
+    flags = [
+        flag("--data", dest="data_path", metavar="PATH", help="input CSV (week column first)"),
+        flag(  # default None: unset, so that a config file can supply it
             "--builtin-case-study", action="store_true", default=None,
             help="use the packaged 114-week OR-holds dataset"),
-        "outcome_column": flag(
-            "--outcome", metavar="NAME", help="outcome column (default: second column)"),
-        "intervention_week": flag("--intervention-week", type=int, metavar="N"),
-        "lag": flag(
-            "--lag", type=int, metavar="N", help="weeks before the intervention takes effect"),
-        "confounders": flag(
-            "--confounders", metavar="A,B,C", help="comma-separated covariate names"),
-        "arx_max_order": flag("--arx-max-order", type=int, metavar="P"),
-        "ci_level": flag("--ci-level", type=float),
-        "output_format": flag("--format", choices=["table", "json", "csv"]),
-    }
+        flag("--outcome", dest="outcome_column", metavar="NAME",
+             help="outcome column (default: second column)"),
+        flag("--intervention-week", type=int, metavar="N"),
+        flag("--lag", type=int, metavar="N", help="weeks before the intervention takes effect"),
+        flag("--confounders", metavar="A,B,C", help="comma-separated covariate names"),
+        flag("--arx-max-order", type=int, metavar="P"),
+        flag("--ci-level", type=float),
+        flag("--format", dest="output_format", choices=["table", "json", "csv"]),
+    ]
     flag("--config", metavar="PATH", help="JSON config file; flags take precedence")
-    return common, flags
+    return common, {action.dest: action for action in flags}
 
 
 @functools.cache
@@ -382,9 +368,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        config = _build_config(args)
-        payload, text = args.handler(config, args)
-        if payload is not None and config.output_format == "json":
+        _fill_settings(args)
+        payload, text = args.handler(args)
+        if payload is not None and args.output_format == "json":
             text = json.dumps(payload, indent=2) + "\n"
         out.write(text)
     except (ItsaError, OSError) as exc:

@@ -3,8 +3,8 @@
 Builds the regressor matrix for an interrupted time series: intercept,
 time, a 0/1 intervention indicator, a post-intervention trend counter,
 and any confounders, in a fixed column order so coefficient tables are
-reproducible. Alternative time origins are supported; recoding time by
-a constant shift changes only the intercept's interpretation.
+reproducible. The time origin can be moved by an integer (`recode_time`);
+the shift changes only the intercept's interpretation.
 """
 
 from __future__ import annotations
@@ -39,39 +39,6 @@ class InterventionSpec:
     @property
     def effective_week(self) -> int:
         return self.changepoint_week + self.lag_weeks
-
-
-@dataclass(frozen=True)
-class TimeCodingConvention:
-    """Origin of the time axis: series start, intervention week, or a fixed offset."""
-
-    kind: str
-    offset: int = 0
-
-    @classmethod
-    def series_start(cls) -> "TimeCodingConvention":
-        return cls(kind="series_start")
-
-    @classmethod
-    def at_intervention(cls) -> "TimeCodingConvention":
-        return cls(kind="at_intervention")
-
-    @classmethod
-    def origin_offset(cls, k: int) -> "TimeCodingConvention":
-        return cls(kind="offset", offset=k)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("series_start", "at_intervention", "offset"):
-            raise DesignError(f"unknown time coding {self.kind!r}")
-
-    def shift_for(self, changepoint: int) -> int:
-        """Amount subtracted from the raw week index under this coding."""
-        if self.kind == "series_start":
-            return 0
-        if self.kind == "at_intervention":
-            # intervention start is coded as week 1
-            return changepoint - 1
-        return self.offset
 
 
 @dataclass(frozen=True)
@@ -181,14 +148,15 @@ def build_design(
     )
 
 
-def recode_time(design: DesignMatrix, coding: TimeCodingConvention) -> DesignMatrix:
-    """Re-express the time column under a different origin.
+def recode_time(design: DesignMatrix, origin: int) -> DesignMatrix:
+    """Re-express the time column as `weeks - origin`.
 
-    Only the time column changes; the indicator, post-intervention
-    counter, confounders, and outcome are untouched, so fitted values
-    and all non-intercept coefficients are invariant.
+    Origin 0 keeps the raw week index; `design.changepoint - 1` codes
+    the changepoint week as time 1 (time at the intervention). Only the
+    time column changes; the indicator, post-intervention counter,
+    confounders, and outcome are untouched, so fitted values and all
+    non-intercept coefficients are invariant.
     """
-    idx = design.column_index(TIME)
     out = design.matrix.copy()
-    out[:, idx] = design.weeks - coding.shift_for(design.changepoint)
+    out[:, design.column_index(TIME)] = design.weeks - origin
     return replace(design, matrix=out)

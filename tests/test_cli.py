@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from itsa.cli import _build_config, build_parser, run
+from itsa.cli import _fill_settings, build_parser, run
 
 CASE_STUDY_FLAGS = ["--builtin-case-study", "--intervention-week", "53"]
+UNKNOWN_KEY = {"confounder": "occupancy"}
 
 
 def invoke(argv):
@@ -260,8 +265,8 @@ class TestConfigAndUsage:
         # the lag-0 estimate; the config file's lag 2 gives -15.3756
         assert json.loads(text)["coefficients"]["intervention"]["estimate"] == pytest.approx(-17.0587, abs=1e-4)
         args = build_parser().parse_args(["arx", *common, "--lag", "0", "--arx-max-order", "0"])
-        config = _build_config(args)
-        assert (config.lag, config.arx_max_order, config.builtin_case_study) == (0, 0, True)
+        _fill_settings(args)
+        assert (args.lag, args.arx_max_order, args.builtin_case_study) == (0, 0, True)
 
     def test_invalid_config_payload(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -280,6 +285,7 @@ class TestConfigAndUsage:
         ({"ci_level": "abc"}, "ci_level"),
         ({"output_format": "xml"}, "output_format"),
         ({"builtin_case_study": "yes"}, "builtin_case_study"),
+        (UNKNOWN_KEY, "confounder"),  # the setting is "confounders"
     ])
     def test_invalid_config_value_exits_1(self, tmp_path, capsys, values, key):
         cfg = tmp_path / "analysis.json"
@@ -348,3 +354,23 @@ class TestConfigAndUsage:
         base_level = json.loads(base)["coefficients"]["intervention"]["estimate"]
         lag_level = json.loads(lagged)["coefficients"]["intervention"]["estimate"]
         assert base_level != lag_level
+
+
+def test_python_m_entry_point(tmp_path):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def python_m_itsa(*argv):
+        return subprocess.run([sys.executable, "-m", "itsa", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    fit = python_m_itsa("fit", *CASE_STUDY_FLAGS)
+    assert (fit.returncode, fit.stdout) == invoke(["fit", *CASE_STUDY_FLAGS])
+    assert python_m_itsa().returncode == 2
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps({"builtin_case_study": True, "intervention_week": 53,
+                               **UNKNOWN_KEY}))
+    unknown = python_m_itsa("fit", "--config", str(cfg))
+    assert unknown.returncode == 1
+    assert f"config file {cfg}: confounder = " in unknown.stderr

@@ -10,7 +10,6 @@ from itsa.dataset import TimeSeriesDataset
 from itsa.design import (
     DesignMatrix,
     InterventionSpec,
-    TimeCodingConvention,
     build_design,
     recode_time,
 )
@@ -119,25 +118,36 @@ class TestBuildDesign:
         assert sink.getvalue().splitlines()[0] == "intercept,time,intervention,time_after,occupancy"
 
 
+@pytest.fixture(scope="module")
+def late_start():
+    """Weeks 10-60 with the changepoint at week 30: the raw time column does not start at 1."""
+    rng = np.random.default_rng(3010)
+    weeks = np.arange(10, 61)
+    x = rng.normal(size=len(weeks))
+    y = 5.0 + 0.1 * weeks - 3.0 * (weeks >= 30) + 0.5 * x + rng.normal(0.0, 0.3, len(weeks))
+    dataset = TimeSeriesDataset(weeks, np.column_stack([y, x]), "y", ("x",))
+    return build_design(dataset, InterventionSpec(30), ["x"])
+
+
 class TestRecodeTime:
     def test_identity_recode(self, start_coded):
-        again = recode_time(start_coded, TimeCodingConvention.series_start())
+        again = recode_time(start_coded, 0)
         assert np.array_equal(again.matrix, start_coded.matrix)
 
     def test_origin_at_intervention(self, start_coded):
-        recoded = recode_time(start_coded, TimeCodingConvention.at_intervention())
+        recoded = recode_time(start_coded, start_coded.changepoint - 1)
         assert recoded.column("time")[52] == 1.0  # week 53 becomes week 1
         assert np.array_equal(recoded.column("intervention"), start_coded.column("intervention"))
         assert np.array_equal(recoded.column("time_after"), start_coded.column("time_after"))
         assert np.array_equal(recoded.outcome, start_coded.outcome)
 
     def test_offset_coding(self, start_coded):
-        recoded = recode_time(start_coded, TimeCodingConvention.origin_offset(10))
+        recoded = recode_time(start_coded, 10)
         assert np.array_equal(recoded.column("time"), start_coded.column("time") - 10)
 
     def test_fits_agree_across_codings(self, start_coded):
         base = itsa.fit_ols(start_coded)
-        shifted = itsa.fit_ols(recode_time(start_coded, TimeCodingConvention.at_intervention()))
+        shifted = itsa.fit_ols(recode_time(start_coded, start_coded.changepoint - 1))
         assert np.allclose(base.fitted, shifted.fitted, atol=1e-9)
         assert np.allclose(base.residuals, shifted.residuals, atol=1e-9)
         assert base.rss == pytest.approx(shifted.rss, abs=1e-9)
@@ -147,9 +157,14 @@ class TestRecodeTime:
                     shifted.coefficients[name], abs=1e-9
                 )
 
-    def test_unknown_coding_kind(self):
-        with pytest.raises(DesignError, match="unknown time coding"):
-            TimeCodingConvention(kind="bogus")
+    def test_series_not_starting_at_week_one(self, late_start):
+        assert late_start.column("time")[0] == 10.0
+        assert np.array_equal(recode_time(late_start, 0).matrix, late_start.matrix)
+        recoded = recode_time(late_start, late_start.changepoint - 1)
+        assert recoded.column("time")[20] == 1.0  # week 30, the changepoint
+        assert np.array_equal(recoded.column("time"), late_start.weeks - 29)
+        base = itsa.fit_ols(late_start)
+        assert np.allclose(itsa.fit_ols(recoded).fitted, base.fitted, rtol=0, atol=1e-9)
 
 
 class TestDesignMatrixType:
