@@ -23,6 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
+from .ols import RANK_TOLERANCE
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -73,6 +74,11 @@ class ArxFit:
     param_count: int  # order + exogenous + innovation variance
     stationary: bool
     label: str = ""
+
+    @property
+    def beta_vector(self) -> np.ndarray:
+        """The exogenous coefficients in `exogenous_columns` order."""
+        return np.array([self.beta[c] for c in self.exogenous_columns])
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,123 +150,228 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     the profiled negative log-likelihood. Nonconvergence is reported through
     the `converged` flag, not silently ignored.
     """
-    p = spec.order
-    cond = p if conditioning is None else conditioning
-    if cond < p:
-        raise FitError(f"conditioning window {cond} is smaller than the order {p}")
-    x = design.columns(spec.exogenous_columns)
-    y = design.outcome
-    n, k = x.shape
-    if n <= 2 * (p + k):
-        raise FitError(f"need n > 2(p + k) observations: n={n}, p={p}, k={k}")
-    ne = n - cond
+    return _fit_stack(design, [spec], spec.order if conditioning is None else conditioning)[0]
 
-    def residuals_and_jacobian(theta):
-        """One-step residuals for t = cond..n-1 (0-based) and their Jacobian."""
-        beta, phi = theta[:k], theta[k:]
-        u = y - x @ beta
-        lagged_u = (u[cond - j : n - j] for j in range(1, p + 1))
-        return _ar_filter(u, phi, cond), -np.column_stack([_ar_filter(x, phi, cond), *lagged_u])
+
+def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[ArxFit]:
+    """Fit every spec on the rows after the first `cond` as one stacked Newton iteration.
+
+    Each member's parameters sit in one padded layout (beta_1..beta_K,
+    phi_1..phi_P): its own columns and lags first, zeros in the slots it
+    lacks. Its Jacobian J gets one extra row per absent slot, that slot's
+    unit vector, with a 0 residual, so the R factor of [J; D | e; 0] holds
+    the member's own R and Q'e, with an identity on the absent block: steps
+    and gradients are exactly zero there. Each member keeps its own step
+    halving, iteration count and stopping test, and leaves the stack when it
+    stops.
+    """
+    y = design.outcome
+    n = len(y)
+    columns = []
+    for spec in specs:
+        if cond < spec.order:
+            raise FitError(f"conditioning window {cond} is smaller than the order {spec.order}")
+        columns.append(design.columns(spec.exogenous_columns))
+        p, k = spec.order, len(spec.exogenous_columns)
+        if n <= 2 * (p + k):
+            raise FitError(f"need n > 2(p + k) observations: n={n}, p={p}, k={k}")
+    m = len(specs)
+    big_k = max(c.shape[1] for c in columns)
+    big_p = max(spec.order for spec in specs)
+    q = big_k + big_p
+    ne = n - cond
+    # Matrices are held transposed, a row per column, so that every column is contiguous.
+    x = np.zeros((m, big_k, n))
+    active = np.zeros((m, q), dtype=bool)
+    for i, (spec, c) in enumerate(zip(specs, columns)):
+        x[i, : c.shape[1]] = c.T
+        active[i, : c.shape[1]] = True
+        active[i, big_k : big_k + spec.order] = True
+    pad = np.eye(q) * ~active[:, None, :]  # D: a unit row per absent slot
+
+    # the plain-OLS start, from the R factor of [X; D | y; 0]
+    stacked = np.zeros((m, big_k + 1, n + big_k))
+    stacked[:, :big_k, :n] = x
+    stacked[:, :big_k, n:] = pad[:, :big_k, :big_k]
+    stacked[:, big_k, :n] = y
+    r = np.linalg.qr(stacked.mT, mode="r")
+    # |R_jj| is column j's distance from the span of the columns before it
+    diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :big_k])
+    dependent = diagonal <= RANK_TOLERANCE * np.linalg.norm(x, axis=2)
+    if dependent.any():
+        i, j = np.argwhere(dependent)[0]
+        raise FitError(
+            f"design is rank deficient: column {specs[i].exogenous_columns[j]!r} "
+            "is linearly dependent on the columns before it"
+        )
+    theta = np.zeros((m, q))
+    theta[:, :big_k] = np.linalg.solve(r[:, :big_k, :big_k], r[:, :big_k, big_k:])[..., 0]
+
+    y_lags, x_lags = _lagged(y, big_p, cond), _lagged(x, big_p, cond)
+
+    def residuals(theta, x_lags):
+        """Lagged regression errors u_{t-j} (j = 0..P) and one-step residuals e_t of each row."""
+        xb = theta[:, None, :big_k] @ x_lags.reshape(len(theta), big_k, -1)
+        u = y_lags - xb.reshape(len(theta), big_p + 1, ne)
+        return u, u[:, 0] - np.einsum("ij,ijt->it", theta[:, big_k:], u[:, 1:])
 
     # Newton steps from the OLS point, or the Gauss-Newton step where the exact
     # RSS Hessian J'J + C is not positive definite. A step is halved while it
     # raises the RSS by more than the rounding of a sum of n_e squares, so that
-    # steps too small for the RSS to register are still taken whole.
-    theta = np.concatenate([np.linalg.lstsq(x, y, rcond=None)[0], np.zeros(p)])
-    e, jac = residuals_and_jacobian(theta)
-    rss = float(e @ e)
+    # steps too small for the RSS to register are still taken whole. An RSS
+    # within the rounding of y itself is an exact fit.
+    stacked = np.zeros((m, q + 1, ne + q))  # [-J; D | e; 0]'; each iteration rewrites the first ne entries
+    stacked[:, :q, ne:] = pad
+    lag_on = active[:, big_k:].astype(float)
+    upper = np.triu(np.ones((q + 1, q + 1)))
+    u, e = residuals(theta, x_lags)
+    rss = np.einsum("ij,ij->i", e, e)
+    exact = ne * (10.0 * np.finfo(float).eps * np.max(np.abs(y))) ** 2
     rounding = 1.0 + ne * np.finfo(float).eps
-    iterations = 0
-    while True:
-        if rss == 0.0:
+    iterations = np.zeros(m, dtype=int)
+    stuck = np.zeros(m, dtype=bool)  # no halving of the last step lowered the RSS
+    rows = np.arange(m)  # the member in each row of the stack
+    stop_reason = [""] * m
+    final: list = [None] * m  # each member's state when it stopped
+    while rows.size:
+        if np.any(rss <= exact):
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
-        g, rss_hessian = e @ jac, jac.T @ jac  # half the RSS gradient and Hessian
-        for j in range(1, p + 1):  # C: d2e_t / dbeta dphi_j = +x_{t-j}
-            rss_hessian[:k, k + j - 1] += e @ x[cond - j : n - j]
-            rss_hessian[k + j - 1, :k] = rss_hessian[:k, k + j - 1]
-        step = np.linalg.lstsq(jac, -e, rcond=None)[0]
-        offset = float(np.linalg.norm(jac @ step)) / math.sqrt(rss)
-        if offset <= STOP_TOLERANCE or iterations == MAX_ITERATIONS:
-            stop_reason = "offset" if offset <= STOP_TOLERANCE else "max_iterations"
-            break
-        try:
-            np.linalg.cholesky(rss_hessian)  # raises unless positive definite
-            step = np.linalg.solve(rss_hessian, -g)
-        except np.linalg.LinAlgError:
-            pass  # keep the Gauss-Newton step
-        for _ in range(MAX_HALVINGS):
-            e_new, jac_new = residuals_and_jacobian(theta + step)
-            rss_new = float(e_new @ e_new)
-            if rss_new <= rss * rounding:
+        top = stacked[..., :ne]
+        ar_x = np.einsum("ij,ikjt->ikt", theta[:, big_k:], x_lags[:, :, 1:])
+        np.subtract(x_lags[:, :, 0], ar_x, out=top[:, :big_k])
+        np.multiply(u[:, 1:], lag_on[..., None], out=top[:, big_k:q])
+        top[:, q] = e
+        h = np.linalg.qr(stacked.mT, mode="raw")[0]  # the factored matrix, transposed
+        r = h[:, :, : q + 1].mT * upper  # R: the upper triangle of its top rows
+        r_j, qte = r[:, :q, :q], r[:, :q, q]
+        offset = np.sqrt(np.einsum("ij,ij->i", qte, qte) / rss)  # |J d| / |e| for the Gauss-Newton d
+        gram = r.mT @ r  # [J'J, -J'e; -e'J, e'e]
+        hessian, minus_g = gram[:, :q, :q], gram[:, :q, q]  # half the RSS Hessian J'J + C, and -J'e
+        # C: d2e_t / dbeta dphi_j = +x_{t-j}
+        hessian[:, :big_k, big_k:] += (x_lags[:, :, 1:] @ e[:, None, :, None])[..., 0] * lag_on[:, None]
+        hessian[:, big_k:, :big_k] = hessian[:, :big_k, big_k:].mT
+
+        stop = stuck | (offset <= STOP_TOLERANCE) | (iterations == MAX_ITERATIONS)
+        if stop.any():
+            for s in np.flatnonzero(stop):
+                if stuck[s]:
+                    stop_reason[rows[s]] = "no_descent"
+                else:
+                    stop_reason[rows[s]] = "offset" if offset[s] <= STOP_TOLERANCE else "max_iterations"
+                final[rows[s]] = theta[s], e[s], rss[s], iterations[s], offset[s], hessian[s], minus_g[s]
+            go = ~stop
+            rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked = (
+                a[go] for a in (rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked)
+            )
+            r_j, qte, hessian, minus_g = r_j[go], qte[go], hessian[go], minus_g[go]
+            if not rows.size:
                 break
-            step *= 0.5
-        else:  # no step along the chosen direction lowers the RSS
-            stop_reason = "no_descent"
-            break
-        theta, e, jac, rss = theta + step, e_new, jac_new, rss_new
-        iterations += 1
-    log_likelihood = -0.5 * ne * (math.log(2.0 * math.pi * rss / ne) + 1.0)
-    sigma2 = rss / ne
-    converged = offset <= OFFSET_TOLERANCE
-    beta, phi = theta[:k], theta[k:]
+        try:
+            np.linalg.cholesky(hessian)  # raises unless every member's is positive definite
+            step = np.linalg.solve(hessian, minus_g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.linalg.solve(r_j, qte[..., None])[..., 0]  # Gauss-Newton
+            for s in range(len(step)):
+                try:
+                    np.linalg.cholesky(hessian[s])
+                    step[s] = np.linalg.solve(hessian[s], minus_g[s])
+                except np.linalg.LinAlgError:
+                    pass  # keep the Gauss-Newton step
 
-    # exact Hessian of the profiled negative log-likelihood
-    hessian = rss_hessian / sigma2 - 2.0 * np.outer(g, g) / (ne * sigma2**2)
-    try:
-        covariance = np.linalg.inv(hessian)
+        for _ in range(MAX_HALVINGS):
+            trial = theta + step
+            u_new, e_new = residuals(trial, x_lags)
+            rss_new = np.einsum("ij,ij->i", e_new, e_new)
+            lower = rss_new <= rss * rounding
+            if lower.all():
+                break
+            step[~lower] *= 0.5
+        stuck = ~lower
+        if stuck.any():  # keep the last point
+            trial[stuck], u_new[stuck] = theta[stuck], u[stuck]
+            e_new[stuck], rss_new[stuck] = e[stuck], rss[stuck]
+        theta, u, e, rss = trial, u_new, e_new, rss_new
+        iterations += lower
+
+    theta, e, rss, iterations, offset, rss_hessian, minus_g = map(np.array, zip(*final))
+    # exact Hessian of the profiled negative log-likelihood, identity/sigma2 on the absent block
+    sigma2 = (rss / ne)[:, None, None]
+    outer = minus_g[:, :, None] * minus_g[:, None, :]
+    covariances = _inverse(rss_hessian / sigma2 - 2.0 * outer / (ne * sigma2**2))
+    stationary = _stationary(theta[:, big_k:])
+    fits = []
+    for i, spec in enumerate(specs):
+        p, names = spec.order, spec.exogenous_columns
+        k = len(names)
+        keep = np.flatnonzero(active[i])
+        covariance = covariances[i][np.ix_(keep, keep)]
         if np.any(np.diag(covariance) <= 0):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        covariance = np.full((k + p, k + p), math.nan)
-    se = np.sqrt(np.diag(covariance)) if np.all(np.isfinite(covariance)) else np.full(len(theta), math.nan)
-    se_names = list(spec.exogenous_columns) + [f"phi{j}" for j in range(1, p + 1)]
-
-    stationary = _is_stationary(phi)
-    if not stationary:
-        warnings.warn(
-            f"ARX({p}) fit {spec.label or spec.exogenous_columns} has an autoregressive "
-            "root at or inside the unit circle; estimates may be unstable",
-            stacklevel=2,
+            covariance = np.full((k + p, k + p), math.nan)
+        se = np.sqrt(np.diag(covariance)) if np.all(np.isfinite(covariance)) else np.full(k + p, math.nan)
+        se_names = list(names) + [f"phi{j}" for j in range(1, p + 1)]
+        if not stationary[i]:
+            warnings.warn(
+                f"ARX({p}) fit {spec.label or names} has an autoregressive "
+                "root at or inside the unit circle; estimates may be unstable",
+                stacklevel=3,
+            )
+        rss_i = float(rss[i])
+        log_likelihood = -0.5 * ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0)
+        fits.append(
+            ArxFit(
+                order=p,
+                exogenous_columns=names,
+                phi=tuple(theta[i, big_k : big_k + p].tolist()),
+                beta=dict(zip(names, theta[i, :k].tolist())),
+                standard_errors=dict(zip(se_names, se.tolist())),
+                covariance=covariance,
+                sigma2=rss_i / ne,
+                log_likelihood=log_likelihood,
+                deviance=-2.0 * log_likelihood,
+                residuals=e[i],
+                converged=bool(offset[i] <= OFFSET_TOLERANCE),
+                iterations=int(iterations[i]),
+                stop_reason=stop_reason[i],
+                n=n,
+                n_effective=ne,
+                conditioning=cond,
+                param_count=p + k + 1,
+                stationary=bool(stationary[i]),
+                label=spec.label,
+            )
         )
-
-    return ArxFit(
-        order=p,
-        exogenous_columns=spec.exogenous_columns,
-        phi=tuple(phi.tolist()),
-        beta=dict(zip(spec.exogenous_columns, beta.tolist())),
-        standard_errors=dict(zip(se_names, se.tolist())),
-        covariance=covariance,
-        sigma2=sigma2,
-        log_likelihood=log_likelihood,
-        deviance=-2.0 * log_likelihood,
-        residuals=e,
-        converged=converged,
-        iterations=iterations,
-        stop_reason=stop_reason,
-        n=n,
-        n_effective=ne,
-        conditioning=cond,
-        param_count=p + k + 1,
-        stationary=stationary,
-        label=spec.label,
-    )
+    return fits
 
 
-def _ar_filter(z: np.ndarray, phi, cond: int) -> np.ndarray:
-    """z_t - sum_j phi_j z_{t-j} for t = cond..n-1, rows of a vector or a matrix."""
-    n = len(z)
-    out = z[cond:].copy()
-    for j, ph in enumerate(phi, start=1):
-        out -= ph * z[cond - j : n - j]
-    return out
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix in the stack; all NaN for one that is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            return np.full_like(a, math.nan)
+        return np.stack([_inverse(one) for one in a])
 
 
-def _is_stationary(phi: np.ndarray) -> bool:
-    if len(phi) == 0 or not np.any(phi):
-        return True
-    # roots of 1 - phi1 z - ... - phip z^p must lie outside the unit circle
-    roots = np.roots(np.concatenate([[1.0], -np.asarray(phi)])[::-1])
-    return bool(np.all(np.abs(roots) > 1.0 + 1e-8))
+def _lagged(z: np.ndarray, p: int, cond: int) -> np.ndarray:
+    """z_{t-j} for t = cond..n-1 and j = 0..p; time is the last axis and j the one before it."""
+    n = z.shape[-1]
+    return np.stack([z[..., cond - j : n - j] for j in range(p + 1)], axis=-2)
+
+
+def _stationary(phi: np.ndarray) -> np.ndarray:
+    """Per row of `phi`: do the roots of 1 - phi_1 z - ... - phi_p z^p lie outside the unit circle?
+
+    They do when the eigenvalues of the companion matrix, the roots'
+    reciprocals, lie inside it.
+    """
+    m, p = phi.shape
+    if p == 0:
+        return np.ones(m, dtype=bool)
+    companion = np.zeros((m, p, p))
+    companion[:, 0] = phi
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    return np.all(np.abs(np.linalg.eigvals(companion)) < 1.0 / (1.0 + 1e-8), axis=1)
 
 
 def arx_deviance(fit: ArxFit) -> float:
@@ -281,9 +392,9 @@ def predict_arx(fit: ArxFit, design: DesignMatrix) -> np.ndarray:
     """
     x = design.columns(fit.exogenous_columns)
     y = design.outcome
-    u = y - x @ np.array([fit.beta[c] for c in fit.exogenous_columns])
+    u = _lagged(y - x @ fit.beta_vector, fit.order, fit.conditioning)
     out = np.full(len(y), np.nan)
-    out[fit.conditioning:] = y[fit.conditioning:] - _ar_filter(u, fit.phi, fit.conditioning)
+    out[fit.conditioning:] = y[fit.conditioning:] - (u[0] - np.array(fit.phi) @ u[1:])
     return out
 
 
@@ -299,7 +410,9 @@ def select_baseline(
     `max_order` observations held fixed) so their likelihoods are
     comparable, then ranked by BIC among fits whose residuals pass a
     Ljung-Box whiteness check (WHITENESS_LAGS lags, p > WHITENESS_ALPHA).
-    The winner is refit on its own natural window before being returned.
+    The whole grid is fitted as one stack, each candidate to the result
+    `fit_arx` gives it alone. The winner is refit on its own natural
+    window before being returned.
     """
     if max_order < 0:
         raise FitError(f"max_order must be non-negative, got {max_order}")
@@ -312,32 +425,32 @@ def select_baseline(
                 )
 
     n_common = design.n - max_order
+    specs = [
+        ArxSpec(order, tuple(columns), f"ARX({order}) {'+'.join(columns)}")
+        for columns in candidate_exogenous
+        for order in range(max_order + 1)
+    ]
     trace: list[CandidateRecord] = []
-    for columns in candidate_exogenous:
-        columns = tuple(columns)
-        for order in range(max_order + 1):
-            label = f"ARX({order}) {'+'.join(columns)}"
-            spec = ArxSpec(order=order, exogenous_columns=columns, label=label)
-            fit = fit_arx(design, spec, conditioning=max_order)
-            bic = fit.deviance + fit.param_count * math.log(n_common)
-            if WHITENESS_LAGS > order:
-                lb = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=order)
-                whiteness_p = lb.p_value
-            else:
-                whiteness_p = math.nan
-            admissible = fit.converged and whiteness_p > WHITENESS_ALPHA
-            trace.append(
-                CandidateRecord(
-                    label=label,
-                    order=order,
-                    exogenous_columns=columns,
-                    deviance=fit.deviance,
-                    bic=bic,
-                    whiteness_p=whiteness_p,
-                    converged=fit.converged,
-                    admissible=admissible,
-                )
+    for fit in _fit_stack(design, specs, max_order) if specs else []:
+        bic = fit.deviance + fit.param_count * math.log(n_common)
+        if WHITENESS_LAGS > fit.order:
+            lb = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order)
+            whiteness_p = lb.p_value
+        else:
+            whiteness_p = math.nan
+        admissible = fit.converged and whiteness_p > WHITENESS_ALPHA
+        trace.append(
+            CandidateRecord(
+                label=fit.label,
+                order=fit.order,
+                exogenous_columns=fit.exogenous_columns,
+                deviance=fit.deviance,
+                bic=bic,
+                whiteness_p=whiteness_p,
+                converged=fit.converged,
+                admissible=admissible,
             )
+        )
 
     ranked = tuple(sorted(trace, key=lambda rec: rec.bic))
     winner = next((rec for rec in ranked if rec.admissible), None)

@@ -81,7 +81,7 @@ def _model_matrices(fit, design: DesignMatrix):
         method = "ols"
     elif isinstance(fit, ArxFit):
         names = fit.exogenous_columns
-        beta = np.array([fit.beta[c] for c in names])
+        beta = fit.beta_vector
         k = len(names)
         cov = fit.covariance[:k, :k]
         method = "arx"

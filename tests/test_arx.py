@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import itsa
 from itsa.arx import (
     MAX_ITERATIONS,
     ArxSpec,
+    _fit_stack,
+    _stationary,
     arx_deviance,
     fit_arx,
     likelihood_ratio_test,
@@ -78,7 +81,7 @@ def negll_gradient(design, fit, theta):
 
 def central_difference_se(design, fit):
     """Standard errors from central differences of the analytic gradient."""
-    theta = np.array([*fit.beta.values(), *fit.phi])
+    theta = np.concatenate([fit.beta_vector, fit.phi])
     h = 1e-5 * np.maximum(np.abs(theta), 1.0)
     columns = []
     for i in range(len(theta)):
@@ -102,18 +105,19 @@ def lagged_response_design(seed, n=120, phi=0.3):
     return make_design(np.column_stack([np.ones(n), x[1:]]), 1.0 + 2.0 * x[:-1] + u, ["intercept", "x"])
 
 
-def rss_hessian_at_ols_start(design, spec):
+def rss_hessian_at_ols_start(design, spec, conditioning=None):
     """Half the RSS Hessian, J'J + C, at the OLS start, by central differences of J'e."""
     x = np.column_stack([design.column(c) for c in spec.exogenous_columns])
     y, p = design.outcome, spec.order
     n, k = x.shape
+    cond = p if conditioning is None else conditioning
 
     def half_gradient(theta):
         beta, phi = theta[:k], theta[k:]
         u = y - x @ beta
-        e = u[p:] - sum(ph * u[p - j : n - j] for j, ph in enumerate(phi, start=1))
-        de_dbeta = -x[p:] + sum(ph * x[p - j : n - j] for j, ph in enumerate(phi, start=1))
-        jac = np.column_stack([de_dbeta, *[-u[p - j : n - j] for j in range(1, p + 1)]])
+        e = u[cond:] - sum(ph * u[cond - j : n - j] for j, ph in enumerate(phi, start=1))
+        de_dbeta = -x[cond:] + sum(ph * x[cond - j : n - j] for j, ph in enumerate(phi, start=1))
+        jac = np.column_stack([de_dbeta, *[-u[cond - j : n - j] for j in range(1, p + 1)]])
         return jac.T @ e
 
     theta = np.concatenate([np.linalg.lstsq(x, y, rcond=None)[0], np.zeros(p)])
@@ -199,11 +203,27 @@ class TestFitArx:
         with pytest.raises(FitError, match="need n >"):
             fit_arx(design, ArxSpec(2, ("intercept", "a")))
 
-    def test_exact_fit_rejected(self):
+    @pytest.mark.parametrize(
+        "level, slope, order",
+        [(2.0, 0.5, 1), (0.1, 0.3, 0), (0.1, 0.3, 2)],
+        ids=["rss-exactly-zero", "rounding-residuals-arx0", "rounding-residuals-arx2"],
+    )
+    def test_exact_fit_rejected(self, level, slope, order):
+        """A straight line is an exact fit whether or not its residuals round to exactly 0."""
         weeks = np.arange(40, dtype=float)
-        design = make_design(np.column_stack([np.ones(40), weeks]), 2.0 + 0.5 * weeks, ["intercept", "time"])
+        x = np.column_stack([np.ones(40), weeks])
+        design = make_design(x, level + slope * weeks, ["intercept", "time"])
         with pytest.raises(FitError, match="exactly"):
-            fit_arx(design, ArxSpec(1, ("intercept", "time")))
+            fit_arx(design, ArxSpec(order, ("intercept", "time")))
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_rank_deficient_columns_named(self, rng, order):
+        """A column in the span of the ones before it is refused by name, as `fit_ols` does."""
+        x = rng.normal(size=60)
+        matrix = np.column_stack([np.ones(60), x, 3.0 * x])
+        design = make_design(matrix, rng.normal(size=60), ["intercept", "a", "b"])
+        with pytest.raises(FitError, match="rank deficient: column 'b'"):
+            fit_arx(design, ArxSpec(order, ("intercept", "a", "b")))
 
     def test_spec_validation(self):
         with pytest.raises(FitError, match="non-negative"):
@@ -378,6 +398,126 @@ class TestNewtonSteps:
         assert fit.deviance == pytest.approx(reference.deviance, rel=1e-12, abs=0.0)
 
 
+class TestStackedFits:
+    """`select_baseline` fits its grid as one stack; each member must be its own fit."""
+
+    LAGGED_GRID = [ArxSpec(p, columns) for columns in (("intercept",), ("intercept", "x")) for p in range(3)]
+
+    @staticmethod
+    def assert_same_fit(stacked, alone):
+        assert (stacked.iterations, stacked.stop_reason, stacked.converged) == (
+            alone.iterations,
+            alone.stop_reason,
+            alone.converged,
+        )
+        assert stacked.deviance == pytest.approx(alone.deviance, rel=1e-12, abs=0.0)
+        assert stacked.beta == pytest.approx(alone.beta, rel=0.0, abs=1e-9)
+        assert stacked.phi == pytest.approx(alone.phi, rel=0.0, abs=1e-9)
+        assert stacked.standard_errors == pytest.approx(alone.standard_errors, rel=1e-9)
+
+    @pytest.fixture(scope="class")
+    def cli_grid(self, case_study):
+        """The CLI grid with all confounders: 5 column sets x orders 0..3, conditioning 3."""
+        confounders = ("admissions", "discharges", "occupancy")
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53), list(confounders))
+        candidates = [("intercept",), *(("intercept", c) for c in confounders), ("intercept", *confounders)]
+        return design, [ArxSpec(order, columns) for columns in candidates for order in range(4)]
+
+    def test_each_member_equals_its_fit_alone(self, cli_grid):
+        design, specs = cli_grid
+        for spec, stacked in zip(specs, _fit_stack(design, specs, 3)):
+            self.assert_same_fit(stacked, fit_arx(design, spec, conditioning=3))
+
+    def test_gauss_newton_fallback_stays_with_its_member(self):
+        """Only the autoregressive fits on intercept + x start with an indefinite Hessian."""
+        design, specs = lagged_response_design(seed=16), self.LAGGED_GRID
+        indefinite = [
+            bool(np.linalg.eigvalsh(rss_hessian_at_ols_start(design, spec, 2))[0] < 0) for spec in specs
+        ]
+        assert indefinite == [False, False, False, False, True, True]
+        for spec, stacked in zip(specs, _fit_stack(design, specs, 2)):
+            self.assert_same_fit(stacked, fit_arx(design, spec, conditioning=2))
+
+    def test_member_without_descent_stops_alone(self, monkeypatch):
+        """With one halving allowed, only ARX(1) on intercept + x runs out of descent."""
+        monkeypatch.setattr("itsa.arx.MAX_HALVINGS", 1)
+        design, specs = lagged_response_design(seed=16), self.LAGGED_GRID
+        fits = _fit_stack(design, specs, 2)
+        assert [fit.stop_reason for fit in fits] == ["offset"] * 4 + ["no_descent", "offset"]
+        for spec, stacked in zip(specs, fits):
+            self.assert_same_fit(stacked, fit_arx(design, spec, conditioning=2))
+
+    def test_every_member_stops_at_the_iteration_cap(self, cli_grid, monkeypatch):
+        design, specs = cli_grid
+        monkeypatch.setattr("itsa.arx.MAX_ITERATIONS", 1)
+        for fit in _fit_stack(design, specs, 3):
+            assert fit.iterations == 1
+            if fit.order == 0:  # the OLS step on the common window is exact
+                assert fit.stop_reason == "offset"
+            else:
+                assert fit.stop_reason == "max_iterations"
+                assert not fit.converged
+
+    def test_nonstationary_member_warns_once(self, rng):
+        n = 120
+        y = np.empty(n)  # mildly explosive autoregression
+        y[0] = 1.0
+        for t in range(1, n):
+            y[t] = 1.05 * y[t - 1] + rng.normal()
+        design = make_design(np.column_stack([np.ones(n), rng.normal(size=n)]), y, ["intercept", "z"])
+        specs = [
+            ArxSpec(order, columns, f"ARX({order}) {'+'.join(columns)}")
+            for columns in (("intercept",), ("intercept", "z"))
+            for order in range(2)
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = _fit_stack(design, specs, 1)
+        assert [f.stationary for f in fits] == [True, False, True, False]
+        expected = []
+        for spec in specs[1::2]:
+            with pytest.warns(UserWarning, match="unit circle") as alone:
+                fit_arx(design, spec, conditioning=1)
+            assert len(alone) == 1
+            expected.append(str(alone[0].message))
+        assert [str(w.message) for w in caught] == expected
+
+    def test_warning_points_at_the_caller(self, rng):
+        y = np.empty(120)
+        y[0] = 1.0
+        for t in range(1, 120):
+            y[t] = 1.05 * y[t - 1] + rng.normal()
+        design = make_design(np.ones((120, 1)), y, ["intercept"])
+        with pytest.warns(UserWarning, match="unit circle") as caught:
+            fit_arx(design, ArxSpec(1, ("intercept",)))
+        assert caught[0].filename == __file__
+
+
+class TestStationarity:
+    @staticmethod
+    def outside_unit_circle(phi):
+        """The per-fit rule: the roots of 1 - phi_1 z - ... - phi_p z^p lie beyond 1 + 1e-8."""
+        if not np.any(phi):
+            return True
+        roots = np.roots(np.concatenate([[1.0], -np.asarray(phi)])[::-1])
+        return bool(np.all(np.abs(roots) > 1.0 + 1e-8))
+
+    def test_matches_polynomial_roots(self):
+        rng = np.random.default_rng(7)
+        rows = [rng.uniform(-1.2, 1.2, size=order) for order in (1, 2, 3) for _ in range(200)]
+        rows += [np.array(phi) for phi in [(1.0,), (-1.0,), (0.5, 0.5), (1.2,), (0.5,), (0.0, 0.0, 0.0)]]
+        padded = np.zeros((len(rows), 3))  # a stack of mixed orders, zero beyond each row's own
+        for i, phi in enumerate(rows):
+            padded[i, : len(phi)] = phi
+        expected = [self.outside_unit_circle(phi) for phi in rows]
+        assert expected[-6:] == [False, False, False, False, True, True]  # unit and explosive roots
+        assert _stationary(padded).tolist() == expected
+        assert 0.2 < np.mean(expected) < 0.8  # both outcomes are exercised
+
+    def test_order_zero_is_stationary(self):
+        assert _stationary(np.zeros((3, 0))).tolist() == [True, True, True]
+
+
 class TestPredictArx:
     def test_leading_values_are_nan(self, baseline_fit, occupancy_design):
         values = predict_arx(baseline_fit, occupancy_design)
@@ -434,6 +574,10 @@ class TestSelectBaseline:
                 max_order=1,
                 candidate_exogenous=[("intercept", "intervention")],
             )
+
+    def test_empty_grid(self, occupancy_design):
+        result = select_baseline(occupancy_design, 2, [])
+        assert result.best is None and result.trace == ()
 
     def test_negative_max_order(self, occupancy_design):
         with pytest.raises(FitError, match="max_order"):

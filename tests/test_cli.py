@@ -107,6 +107,14 @@ class TestFitCommand:
         assert code == 1
         assert "rank deficient" in capsys.readouterr().err
 
+    def test_collinear_arx_candidate_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        rows = "\n".join(f"{w},{w % 5 + 0.1 * (w % 3)},1" for w in range(1, 61))
+        path.write_text("week,y,flat\n" + rows + "\n")
+        code, _ = invoke(["arx", "--data", str(path), "--intervention-week", "30", "--confounders", "flat"])
+        assert code == 1
+        assert "rank deficient: column 'flat'" in capsys.readouterr().err
+
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
         assert code == 1
