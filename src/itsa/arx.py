@@ -98,13 +98,10 @@ class LrtResult:
     """Likelihood-ratio comparison of nested ARX fits."""
 
     lambda_: float
-    deviance_baseline: float
-    deviance_full: float
     df: int
     critical_value: float
     p_value: float
     significant: bool
-    alpha: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -497,11 +494,8 @@ def likelihood_ratio_test(baseline: ArxFit, full: ArxFit, alpha: float = 0.05) -
     critical = chi_square_quantile(1.0 - alpha, df) if df > 0 else 0.0
     return LrtResult(
         lambda_=lam,
-        deviance_baseline=baseline.deviance,
-        deviance_full=full.deviance,
         df=df,
         critical_value=critical,
         p_value=chi_square_sf(max(lam, 0.0), df) if df > 0 else 1.0,
         significant=df > 0 and lam > critical,
-        alpha=alpha,
     )

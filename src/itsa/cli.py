@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import arx as arx_mod
 from . import dataset as dataset_mod
@@ -117,6 +116,15 @@ def _build_case_design(args: argparse.Namespace) -> design_mod.DesignMatrix:
 
 def _fmt(value: float, precision: int = COEF_PRECISION) -> str:
     return f"{value:.{precision}f}"
+
+
+def _csv(weeks, columns: dict) -> str:
+    """CSV text: a week column, then each column at .6g, with None or NaN as a blank cell."""
+    lines = [",".join(["week", *columns])]
+    for week, *row in zip(weeks, *columns.values()):
+        cells = ["" if v is None or math.isnan(v) else f"{v:.6g}" for v in row]
+        lines.append(",".join([str(int(week)), *cells]))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_validate(args) -> tuple[None, str]:
@@ -246,7 +254,7 @@ def _cmd_arx(args) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def _cmd_effect(args) -> tuple[dict, str]:
+def _cmd_effect(args) -> tuple[dict | None, str]:
     design = _build_case_design(args)
     fit = ols_mod.fit_ols(design)
     if args.week is not None:
@@ -254,7 +262,7 @@ def _cmd_effect(args) -> tuple[dict, str]:
         rel = ("undefined" if estimate.relative_change is None
                else f"{estimate.relative_change:.1f}%")
         ci = ("" if estimate.ci_lower is None
-              else f"  {int(args.ci_level * 100)}% CI "
+              else f"  {args.ci_level * 100:g}% CI "
                    f"({estimate.ci_lower:.1f}%, {estimate.ci_upper:.1f}%)")
         return estimate.to_json_dict(), (
             f"week {estimate.week}: observed={_fmt(estimate.observed)} "
@@ -266,23 +274,16 @@ def _cmd_effect(args) -> tuple[dict, str]:
 
     series = effect_mod.effect_series(fit, design, args.ci_level)
     if args.output_format == "csv":
-        lines = ["week,observed,fitted,counterfactual,absolute_change,relative_change"]
-        for e in series.estimates:
-            rel = "" if e.relative_change is None else f"{e.relative_change:.6g}"
-            lines.append(f"{e.week},{e.observed:g},{e.fitted:.6g},{e.counterfactual:.6g},"
-                         f"{e.absolute_change:.6g},{rel}")
-    else:
-        mean_rel = ("undefined" if series.mean_relative_change is None
-                    else f"{series.mean_relative_change:.1f}%")
-        stab = ("not reached" if series.weeks_to_stabilization is None
-                else f"week {series.stabilization_week} "
-                     f"({series.weeks_to_stabilization} weeks in)")
-        lines = [
-            f"post-intervention weeks: {len(series.estimates)}",
-            f"mean relative change: {mean_rel}",
-            f"stabilized: {stab}",
-        ]
-    return series.to_json_dict(), "\n".join(lines) + "\n"
+        names = ("observed", "fitted", "counterfactual", "absolute_change", "relative_change")
+        return None, _csv([e.week for e in series.estimates],
+                          {name: [getattr(e, name) for e in series.estimates] for name in names})
+    mean_rel = ("undefined" if series.mean_relative_change is None
+                else f"{series.mean_relative_change:.1f}%")
+    stab = ("not reached" if series.weeks_to_stabilization is None
+            else f"week {series.stabilization_week} ({series.weeks_to_stabilization} weeks in)")
+    return series.to_json_dict(), (f"post-intervention weeks: {len(series.estimates)}\n"
+                                   f"mean relative change: {mean_rel}\n"
+                                   f"stabilized: {stab}\n")
 
 
 def _cmd_export(args) -> tuple[None, str]:
@@ -298,10 +299,7 @@ def _cmd_export(args) -> tuple[None, str]:
         columns["arx_fitted"] = arx_mod.predict_arx(full, design)  # NaN: no lagged errors yet
 
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["week", *columns]) + "\n")
-        for week, *row in zip(design.weeks, *columns.values()):
-            cells = ["" if np.isnan(v) else f"{v:.6g}" for v in row]
-            fh.write(",".join([str(int(week)), *cells]) + "\n")
+        fh.write(_csv(design.weeks, columns))
     # The confirmation goes to the console: `out` carries a command's result, which is the file.
     sys.stdout.write(f"wrote {design.n} rows to {args.output}\n")
     return None, ""

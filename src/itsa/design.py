@@ -9,7 +9,6 @@ the shift changes only the intercept's interpretation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,12 +99,6 @@ class DesignMatrix:
             if name in self.column_names:
                 out[:, self.column_names.index(name)] = 0.0
         return replace(self, matrix=out)
-
-    def to_csv(self, sink) -> None:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(self.column_names)
-        for row in self.matrix:
-            writer.writerow([f"{v:g}" for v in row])
 
 
 def build_design(

@@ -10,6 +10,7 @@ the joint coefficient covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ class EffectSeries:
 
 
 def _model_matrices(fit, design: DesignMatrix):
-    """Coefficients, covariance, method tag, and the model and counterfactual matrices."""
+    """Coefficients, covariance, method tag, model matrix, and its intervention-column mask."""
     if isinstance(fit, OlsFit):
         names = fit.column_names
         beta = fit.beta
@@ -87,71 +88,62 @@ def _model_matrices(fit, design: DesignMatrix):
         method = "arx"
     else:
         raise FitError(f"unsupported fit type {type(fit).__name__}")
-    return beta, cov, method, design.columns(names), design.zero_intervention().columns(names)
+    intervention = np.array([name in design.intervention_columns for name in names])
+    return beta, cov, method, design.columns(names), intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     """Linear predictions with the intervention columns zeroed everywhere."""
     if not design.intervention_columns:
         raise DesignError("design does not declare its intervention columns")
-    beta, _, _, _, counterfactual = _model_matrices(fit, design)
-    return counterfactual @ beta
+    beta, _, _, model, intervention = _model_matrices(fit, design)
+    return np.where(intervention, 0.0, model) @ beta
+
+
+def _nan_to_none(column: np.ndarray) -> list:
+    return [None if math.isnan(v) else v for v in column.tolist()]
 
 
 def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[EffectEstimate, ...]:
     """Effect estimates at the given row indices of the design, computed together.
 
-    Every quantity is an elementwise product summed per row, with no
-    matrix product, so a row's estimate does not depend on which other
-    rows are requested alongside it.
+    Every quantity is a column over the rows, each an elementwise product
+    summed per row with no matrix product, so a row's estimate does not
+    depend on which other rows are requested alongside it. Pre-intervention
+    rows are exactly zero; NaN marks an undefined relative change and CI.
     """
     if not 0.0 < ci_level < 1.0:
         raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
-    beta, cov, method, model, counterfactual = _model_matrices(fit, design)
+    beta, cov, method, model, intervention = _model_matrices(fit, design)
     rows = np.asarray(rows, dtype=int)
     model_rows = model[rows]
-    cf_rows = counterfactual[rows]
-    intervention_part = model_rows - cf_rows
+    cf_rows = np.where(intervention, 0.0, model_rows)  # intervention columns zeroed
+    intervention_part = np.where(intervention, model_rows, 0.0)
 
     fitted = np.sum(model_rows * beta, axis=1)
     cf = np.sum(cf_rows * beta, axis=1)
-    absolute = np.sum(intervention_part * beta, axis=1)
     pre = ~np.any(intervention_part, axis=1)  # pre-intervention: zero effect by construction
     defined = ~pre & (cf > 0)  # relative change needs a positive counterfactual
+    absolute = np.where(pre, 0.0, np.sum(intervention_part * beta, axis=1))
 
     # delta method: d/dbeta of 100 * (a'b) / (c'b); 1.0 stands in where it is undefined
     c = np.where(defined, cf, 1.0)[:, None]
     gradient = 100.0 * (intervention_part * c - absolute[:, None] * cf_rows) / c**2
     se = np.sqrt(np.sum(gradient[:, :, None] * cov * gradient[:, None, :], axis=(1, 2)))
-    relative = 100.0 * absolute / c[:, 0]
-    z = normal_quantile(0.5 + ci_level / 2.0)
+    relative = np.where(pre | defined, 100.0 * absolute / c[:, 0], np.nan)  # pre rows: 0.0 / 1.0
+    half_width = np.where(defined, normal_quantile(0.5 + ci_level / 2.0) * se, 0.0)
+    tags = np.where(pre, method,
+                    np.where(defined, method + ":delta", method + ":relative-undefined"))
 
-    estimates = []
-    for i, idx in enumerate(rows):
-        common = dict(
-            week=int(design.weeks[idx]),
-            observed=float(design.outcome[idx]),
-            fitted=float(fitted[i]),
-            counterfactual=float(cf[i]),
-            ci_level=ci_level,
+    return tuple(
+        EffectEstimate(week, obs, fit_value, cf_value, change, rel, ci_level, lower, upper, tag)
+        for week, obs, fit_value, cf_value, change, rel, lower, upper, tag in zip(
+            design.weeks[rows].astype(int).tolist(), design.outcome[rows].tolist(),
+            fitted.tolist(), cf.tolist(), absolute.tolist(), _nan_to_none(relative),
+            _nan_to_none(relative - half_width), _nan_to_none(relative + half_width),
+            tags.tolist(),
         )
-        if pre[i]:
-            estimates.append(EffectEstimate(
-                **common, absolute_change=0.0, relative_change=0.0,
-                ci_lower=0.0, ci_upper=0.0, method=method,
-            ))
-        elif not defined[i]:
-            estimates.append(EffectEstimate(
-                **common, absolute_change=float(absolute[i]), relative_change=None,
-                ci_lower=None, ci_upper=None, method=method + ":relative-undefined",
-            ))
-        else:
-            estimates.append(EffectEstimate(
-                **common, absolute_change=float(absolute[i]), relative_change=float(relative[i]),
-                ci_lower=float(relative[i] - z * se[i]), ci_upper=float(relative[i] + z * se[i]),
-                method=method + ":delta",
-            ))
-    return tuple(estimates)
+    )
 
 
 def effect_at(fit, design: DesignMatrix, week: int, ci_level: float = 0.95) -> EffectEstimate:
@@ -173,22 +165,15 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
     "sustained" effect).
     """
     post_rows = np.flatnonzero(design.weeks >= design.changepoint)
-    if not len(post_rows):
-        return EffectSeries(
-            estimates=(),
-            mean_relative_change=None,
-            stabilization_week=None,
-            weeks_to_stabilization=None,
-        )
     estimates = _estimates(fit, design, post_rows, ci_level)
     relatives = [e.relative_change for e in estimates]
     defined = [r for r in relatives if r is not None]
     mean_rel = sum(defined) / len(defined) if defined else None
 
     stabilization_week = None
-    if all(r is not None for r in relatives) and len(relatives) >= STABILIZATION_WINDOW:
-        rel = np.array(relatives)
-        rolling = np.convolve(rel, np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW, "valid")
+    if None not in relatives and len(relatives) >= STABILIZATION_WINDOW:
+        window = np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW
+        rolling = np.convolve(relatives, window, "valid")
         # max and min of every tail rolling[i:], as running extremes from the end
         tail_max = np.maximum.accumulate(rolling[::-1])[::-1]
         tail_min = np.minimum.accumulate(rolling[::-1])[::-1]

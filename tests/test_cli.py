@@ -193,6 +193,15 @@ class TestEffectCommand:
         assert len(lines) == 1 + 62
         assert lines[1].startswith("53,")
 
+    @pytest.mark.parametrize("level, label", [
+        ("0.95", "95% CI"), ("0.57", "57% CI"), ("0.29", "29% CI"), ("0.975", "97.5% CI"),
+    ])
+    def test_ci_label_shows_the_level(self, level, label):
+        # int(0.57 * 100) is 56: the label must not truncate the level's own digits
+        code, text = invoke(["effect", *CASE_STUDY_FLAGS, "--week", "54", "--ci-level", level])
+        assert code == 0
+        assert f"  {label} (" in text
+
     def test_week_out_of_range_exits_1(self, capsys):
         code, _ = invoke(["effect", *CASE_STUDY_FLAGS, "--week", "999"])
         assert code == 1

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -111,11 +110,6 @@ class TestBuildDesign:
             i = week - 1
             assert start_coded.column("intervention")[i] == level
             assert start_coded.column("time_after")[i] == trend
-
-    def test_csv_export_header(self, start_coded):
-        sink = io.StringIO()
-        start_coded.to_csv(sink)
-        assert sink.getvalue().splitlines()[0] == "intercept,time,intervention,time_after,occupancy"
 
 
 @pytest.fixture(scope="module")

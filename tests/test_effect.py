@@ -1,5 +1,10 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import itsa
 from itsa.arx import ArxSpec, fit_arx
@@ -12,7 +17,7 @@ from itsa.effect import (
     effect_series,
 )
 from itsa.errors import DesignError, FitError
-from itsa.ols import fit_ols
+from itsa.ols import OlsFit, fit_ols
 
 
 def step_design(y, changepoint, extra=None, extra_names=()):
@@ -90,6 +95,16 @@ class TestEffectAt:
         assert est.relative_change == 0.0
         assert (est.ci_lower, est.ci_upper) == (0.0, 0.0)
         assert est.counterfactual == est.fitted
+        assert est.method == "ols"
+
+    def test_arx_pre_intervention_week_is_exact_zero(self, case_study):
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53), ["occupancy"])
+        fit = fit_arx(design, ArxSpec(2, ("intercept", "occupancy", "intervention")))
+        est = effect_at(fit, design, 20)
+        assert (est.absolute_change, est.relative_change) == (0.0, 0.0)
+        assert (est.ci_lower, est.ci_upper) == (0.0, 0.0)
+        assert est.counterfactual == est.fitted
+        assert est.method == "arx"
 
     def test_pure_level_shift_recovers_step_size(self, rng):
         n = 80
@@ -256,9 +271,73 @@ class TestSingleEffectPath:
         for e in series.estimates:
             assert (e.counterfactual > 0) == (e.method == "ols:delta")
             assert e.absolute_change == pytest.approx(e.fitted - e.counterfactual, abs=1e-9)
+            if e.method == "ols:relative-undefined":
+                assert e.relative_change is None and e.ci_lower is None and e.ci_upper is None
+
+        def no_constants(token):  # NaN, Infinity and -Infinity are not JSON
+            raise AssertionError(f"{token} in the effect JSON payload")
+
+        json.loads(json.dumps(series.to_json_dict(), indent=2), parse_constant=no_constants)
         defined = [e.relative_change for e in series.estimates if e.relative_change is not None]
         assert series.mean_relative_change == pytest.approx(sum(defined) / len(defined))
         assert series.stabilization_week is None
+
+
+class TestPerWeekReference:
+    """The columnar estimates equal a per-week computation that branches on the week's case.
+
+    The reference takes dot products, where the estimates sum elementwise
+    products, so floats agree to 1e-12 rather than bit for bit; None and
+    the method tags must match exactly.
+    """
+
+    @staticmethod
+    def reference(fit, design, week, ci_level):
+        names = fit.column_names if isinstance(fit, OlsFit) else fit.exogenous_columns
+        beta = fit.beta if isinstance(fit, OlsFit) else fit.beta_vector
+        cov = fit.covariance[:len(names), :len(names)]
+        method = "ols" if isinstance(fit, OlsFit) else "arx"
+        row = int(week - design.weeks[0])
+        x = design.columns(names)[row]
+        c = design.zero_intervention().columns(names)[row]
+        fitted, cf, absolute = float(x @ beta), float(c @ beta), float((x - c) @ beta)
+        common = dict(week=week, observed=float(design.outcome[row]), fitted=fitted,
+                      counterfactual=cf, ci_level=ci_level)
+        if np.array_equal(x, c):
+            return dict(common, absolute_change=0.0, relative_change=0.0,
+                        ci_lower=0.0, ci_upper=0.0, method=method)
+        if cf <= 0:
+            return dict(common, absolute_change=absolute, relative_change=None,
+                        ci_lower=None, ci_upper=None, method=method + ":relative-undefined")
+        gradient = 100.0 * ((x - c) * cf - absolute * c) / cf**2
+        half_width = norm.ppf(0.5 + ci_level / 2.0) * math.sqrt(gradient @ cov @ gradient)
+        relative = 100.0 * absolute / cf
+        return dict(common, absolute_change=absolute, relative_change=relative,
+                    ci_lower=relative - half_width, ci_upper=relative + half_width,
+                    method=method + ":delta")
+
+    def assert_every_week_matches(self, fit, design, ci_level):
+        series = effect_series(fit, design, ci_level)
+        singles = [effect_at(fit, design, week, ci_level) for week in design.weeks]
+        assert series.estimates == tuple(singles[-len(series.estimates):])
+        for est in singles:
+            expected = self.reference(fit, design, est.week, ci_level)
+            assert dataclasses.asdict(est) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("ci_level", [0.95, 0.57])
+    def test_ols_case_study(self, full_design, full_fit, ci_level):
+        self.assert_every_week_matches(full_fit, full_design, ci_level)
+
+    def test_arx_case_study(self, case_study):
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53), ["occupancy"])
+        fit = fit_arx(design, ArxSpec(2, ("intercept", "occupancy", "intervention", "time_after")))
+        self.assert_every_week_matches(fit, design, 0.95)
+
+    def test_counterfactual_crossing_zero(self, rng):
+        weeks = np.arange(1, 61)
+        y = 12.0 - 0.3 * weeks + 5.0 * (weeks >= 21) + 0.2 * rng.normal(size=60)
+        design = step_design(y, changepoint=21, extra=weeks, extra_names=("time",))
+        self.assert_every_week_matches(fit_ols(design), design, 0.8)
 
 
 class TestStabilizationScan:
