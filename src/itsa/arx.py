@@ -23,7 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import RANK_TOLERANCE
+from .ols import EPS, check_rank, is_exact_fit, json_number
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -85,7 +85,7 @@ class ArxFit:
             "order": self.order,
             "phi": list(self.phi),
             "beta": dict(self.beta),
-            "se": dict(self.standard_errors),
+            "se": {name: json_number(se) for name, se in self.standard_errors.items()},
             "sigma2": self.sigma2,
             "deviance": self.deviance,
             "n_effective": self.n_effective,
@@ -122,7 +122,7 @@ class CandidateRecord:
     exogenous_columns: tuple[str, ...]
     deviance: float
     bic: float
-    whiteness_p: float
+    whiteness_p: float | None  # None when the order leaves no whiteness lags
     converged: bool
     admissible: bool
 
@@ -192,15 +192,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     stacked[:, :big_k, n:] = pad[:, :big_k, :big_k]
     stacked[:, big_k, :n] = y
     r = np.linalg.qr(stacked.mT, mode="r")
-    # |R_jj| is column j's distance from the span of the columns before it
-    diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :big_k])
-    dependent = diagonal <= RANK_TOLERANCE * np.linalg.norm(x, axis=2)
-    if dependent.any():
-        i, j = np.argwhere(dependent)[0]
-        raise FitError(
-            f"design is rank deficient: column {specs[i].exogenous_columns[j]!r} "
-            "is linearly dependent on the columns before it"
-        )
+    check_rank(np.diagonal(r, axis1=1, axis2=2)[:, :big_k], np.linalg.norm(x, axis=2),
+               [spec.exogenous_columns for spec in specs])
     theta = np.zeros((m, q))
     theta[:, :big_k] = np.linalg.solve(r[:, :big_k, :big_k], r[:, :big_k, big_k:])[..., 0]
 
@@ -215,23 +208,21 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     # Newton steps from the OLS point, or the Gauss-Newton step where the exact
     # RSS Hessian J'J + C is not positive definite. A step is halved while it
     # raises the RSS by more than the rounding of a sum of n_e squares, so that
-    # steps too small for the RSS to register are still taken whole. An RSS
-    # within the rounding of y itself is an exact fit.
+    # steps too small for the RSS to register are still taken whole.
     stacked = np.zeros((m, q + 1, ne + q))  # [-J; D | e; 0]'; each iteration rewrites the first ne entries
     stacked[:, :q, ne:] = pad
     lag_on = active[:, big_k:].astype(float)
     upper = np.triu(np.ones((q + 1, q + 1)))
     u, e = residuals(theta, x_lags)
     rss = np.einsum("ij,ij->i", e, e)
-    exact = ne * (10.0 * np.finfo(float).eps * np.max(np.abs(y))) ** 2
-    rounding = 1.0 + ne * np.finfo(float).eps
+    rounding = 1.0 + ne * EPS
     iterations = np.zeros(m, dtype=int)
     stuck = np.zeros(m, dtype=bool)  # no halving of the last step lowered the RSS
     rows = np.arange(m)  # the member in each row of the stack
     stop_reason = [""] * m
     final: list = [None] * m  # each member's state when it stopped
     while rows.size:
-        if np.any(rss <= exact):
+        if is_exact_fit(float(rss.min()), y, ne):
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
         top = stacked[..., :ne]
         ar_x = np.einsum("ij,ikjt->ikt", theta[:, big_k:], x_lags[:, :, 1:])
@@ -422,6 +413,10 @@ def select_baseline(
                 )
 
     n_common = design.n - max_order
+    if n_common <= 2 * WHITENESS_LAGS:
+        raise FitError(f"{design.n} weeks with maximum order {max_order} leave {n_common} weeks of "
+                       f"residuals; the {WHITENESS_LAGS}-lag whiteness check needs more than "
+                       f"{2 * WHITENESS_LAGS}")
     specs = [
         ArxSpec(order, tuple(columns), f"ARX({order}) {'+'.join(columns)}")
         for columns in candidate_exogenous
@@ -430,12 +425,10 @@ def select_baseline(
     trace: list[CandidateRecord] = []
     for fit in _fit_stack(design, specs, max_order) if specs else []:
         bic = fit.deviance + fit.param_count * math.log(n_common)
+        whiteness_p = None
         if WHITENESS_LAGS > fit.order:
-            lb = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order)
-            whiteness_p = lb.p_value
-        else:
-            whiteness_p = math.nan
-        admissible = fit.converged and whiteness_p > WHITENESS_ALPHA
+            whiteness_p = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order).p_value
+        admissible = fit.converged and whiteness_p is not None and whiteness_p > WHITENESS_ALPHA
         trace.append(
             CandidateRecord(
                 label=fit.label,

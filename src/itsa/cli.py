@@ -213,7 +213,8 @@ def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.De
     )
     if selection.best is None:
         raise ItsaError(selection.message)
-    return selection, _refit_with(design, selection.best, "intervention", "full (level change)")
+    full = _refit_with(design, selection.best, design_mod.INTERVENTION, "full (level change)")
+    return selection, full
 
 
 def _cmd_arx(args) -> tuple[dict, str]:
@@ -221,7 +222,7 @@ def _cmd_arx(args) -> tuple[dict, str]:
     selection, full = _select_and_fit_level_change(args, design)
     baseline = selection.best
     level_test = arx_mod.likelihood_ratio_test(baseline, full)
-    with_trend = _refit_with(design, full, "time_after", "full (level + trend change)")
+    with_trend = _refit_with(design, full, design_mod.TIME_AFTER, "full (level + trend change)")
     trend_test = arx_mod.likelihood_ratio_test(full, with_trend)
 
     payload = {
@@ -369,7 +370,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         _fill_settings(args)
         payload, text = args.handler(args)
         if payload is not None and args.output_format == "json":
-            text = json.dumps(payload, indent=2) + "\n"
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         out.write(text)
     except (ItsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

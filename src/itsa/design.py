@@ -49,7 +49,6 @@ class DesignMatrix:
     outcome: np.ndarray
     weeks: np.ndarray
     changepoint: int
-    intervention_columns: tuple[str, ...] = (INTERVENTION, TIME_AFTER)
 
     def __post_init__(self) -> None:
         n, k = self.matrix.shape
@@ -70,6 +69,11 @@ class DesignMatrix:
     def k(self) -> int:
         return self.matrix.shape[1]
 
+    @property
+    def intervention_columns(self) -> tuple[str, ...]:
+        """The intervention indicator and post-intervention counter, those the design has."""
+        return tuple(name for name in (INTERVENTION, TIME_AFTER) if name in self.column_names)
+
     def column(self, name: str) -> np.ndarray:
         return self.matrix[:, self.column_index(name)]
 
@@ -85,20 +89,7 @@ class DesignMatrix:
 
     def subset(self, names: tuple[str, ...] | list[str]) -> "DesignMatrix":
         """New design keeping only the named columns, in the given order."""
-        return replace(
-            self,
-            matrix=self.columns(names),
-            column_names=tuple(names),
-            intervention_columns=tuple(c for c in self.intervention_columns if c in names),
-        )
-
-    def zero_intervention(self) -> "DesignMatrix":
-        """Copy with the intervention columns set to zero (counterfactual design)."""
-        out = self.matrix.copy()
-        for name in self.intervention_columns:
-            if name in self.column_names:
-                out[:, self.column_names.index(name)] = 0.0
-        return replace(self, matrix=out)
+        return replace(self, matrix=self.columns(names), column_names=tuple(names))
 
 
 def build_design(

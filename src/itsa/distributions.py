@@ -22,11 +22,6 @@ def normal_cdf(z: float) -> float:
     return float(special.ndtr(z))
 
 
-def normal_sf(z: float) -> float:
-    """Standard normal survival function 1 - CDF(z)."""
-    return normal_cdf(-z)
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:

@@ -88,14 +88,15 @@ def _model_matrices(fit, design: DesignMatrix):
         method = "arx"
     else:
         raise FitError(f"unsupported fit type {type(fit).__name__}")
-    intervention = np.array([name in design.intervention_columns for name in names])
+    intervention_columns = design.intervention_columns
+    intervention = np.array([name in intervention_columns for name in names])
     return beta, cov, method, design.columns(names), intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     """Linear predictions with the intervention columns zeroed everywhere."""
     if not design.intervention_columns:
-        raise DesignError("design does not declare its intervention columns")
+        raise DesignError("design has no intervention columns")
     beta, _, _, model, intervention = _model_matrices(fit, design)
     return np.where(intervention, 0.0, model) @ beta
 

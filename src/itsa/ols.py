@@ -5,8 +5,9 @@ than the normal equations. A design is rank deficient when a column's
 distance from the span of the columns before it is tiny relative to the
 column's own norm, a test that does not depend on the columns' scales;
 the first such column is reported by name instead of silently producing
-garbage. Inference uses the unbiased residual variance; the deviance
-uses the Gaussian maximum-likelihood plug-in variance.
+garbage. An RSS within the rounding of y is an exact fit, whose
+likelihood is unbounded; the ARX fits share both rules. Inference uses
+the unbiased residual variance; the deviance the Gaussian MLE variance.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .distributions import student_t_two_sided_p
 from .errors import FitError
 
 RANK_TOLERANCE = 1e-10
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,13 @@ class OlsFit:
                 name: {
                     "estimate": self.coefficients[name],
                     "se": self.standard_errors[name],
-                    "t": self.t_stats[name],
-                    "p": self.p_values[name],
+                    "t": json_number(self.t_stats[name]),
+                    "p": json_number(self.p_values[name]),
                 }
                 for name in self.column_names
             },
             "rss": self.rss,
-            "deviance": self.deviance,
+            "deviance": json_number(self.deviance),
             "n": self.n,
             "k": self.k,
         }
@@ -78,13 +80,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         raise FitError(f"need more observations than parameters: n={n}, k={k}")
 
     q, r = np.linalg.qr(x)
-    # |R_jj| is column j's distance from the span of the columns before it
-    dependent = np.abs(np.diag(r)) <= RANK_TOLERANCE * np.linalg.norm(x, axis=0)
-    if dependent.any():
-        raise FitError(
-            f"design is rank deficient: column {design.column_names[np.argmax(dependent)]!r} "
-            "is linearly dependent on the columns before it"
-        )
+    check_rank(np.diag(r), np.linalg.norm(x, axis=0), design.column_names)
 
     r_inv = np.linalg.inv(r)  # LU of a triangular R swaps no rows: a triangular inverse
     beta = r_inv @ (q.T @ y)
@@ -98,11 +94,11 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     covariance = sigma2_unbiased * (r_inv @ r_inv.T)  # (X'X)^-1 = R^-1 R^-T
 
     se = np.sqrt(np.diag(covariance))
-    t_stats = beta / se
+    t_stats = beta / se if rss > 0 else np.full(k, math.nan)  # se = 0: t is undefined
     p_values = [student_t_two_sided_p(float(t), df) for t in t_stats]
 
-    if _effectively_interpolating(rss, fitted):
-        log_likelihood = math.inf  # degenerate; gaussian_deviance refuses it
+    if is_exact_fit(rss, y, n):
+        log_likelihood = math.inf  # unbounded; gaussian_deviance refuses it
     else:
         log_likelihood = -0.5 * n * (math.log(2.0 * math.pi * sigma2_mle) + 1.0)
 
@@ -126,14 +122,36 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     )
 
 
-def _effectively_interpolating(rss: float, fitted: np.ndarray) -> bool:
-    return rss <= 1e-12 * max(1.0, float(fitted @ fitted))
+def json_number(value: float) -> float | None:
+    """The value, or None where it is undefined (NaN or infinite), which JSON cannot write."""
+    return value if math.isfinite(value) else None
+
+
+def check_rank(diagonal: np.ndarray, norms: np.ndarray, names) -> None:
+    """Raise `FitError` naming the first column whose QR |R_jj| is tiny against its norm.
+
+    |R_jj| is column j's distance from the span of the columns before it.
+    A stack of designs has a leading member axis and a tuple of names per member.
+    """
+    dependent = np.abs(diagonal) <= RANK_TOLERANCE * norms
+    if dependent.any():
+        *member, j = np.argwhere(dependent)[0]
+        column = (names[member[0]] if member else names)[j]
+        raise FitError(f"design is rank deficient: column {column!r} is linearly dependent "
+                       "on the columns before it")
+
+
+def is_exact_fit(rss: float, y: np.ndarray, rows: int) -> bool:
+    """Is an RSS of `rows` residuals of y within the rounding of y: RSS <= rows (10 eps max|y|)^2?"""
+    scale = rows * (10.0 * EPS) ** 2
+    # max|y|^2 <= y'y, so the dot product settles most fits without the maximum
+    return rss <= scale * float(y @ y) and rss <= scale * float(np.abs(y).max()) ** 2
 
 
 def gaussian_deviance(fit: OlsFit) -> float:
     """-2 x Gaussian log-likelihood at the MLE plug-in variance RSS/n."""
-    if _effectively_interpolating(fit.rss, fit.fitted):
-        raise FitError("deviance is unbounded for an interpolating fit (RSS = 0)")
+    if fit.log_likelihood == math.inf:
+        raise FitError("deviance is unbounded for an exact fit (RSS = 0 to the rounding of y)")
     return fit.deviance
 
 

@@ -20,6 +20,8 @@ from itsa.distributions import chi_square_sf, normal_cdf, student_t_two_sided_p
 from itsa.effect import effect_at, effect_series
 from itsa.ols import fit_ols, gaussian_deviance
 
+from conftest import make_design
+
 ALL_CONFOUNDERS = ["admissions", "discharges", "occupancy"]
 
 
@@ -195,21 +197,6 @@ def test_criterion_7_dataset_summary(data):
 class TestCriterion8Properties:
     """Numerical properties that must hold regardless of the case-study numbers."""
 
-    def _make_design(self, matrix, y, names=None, changepoint=None):
-        from itsa.design import DesignMatrix
-
-        matrix = np.asarray(matrix, dtype=float)
-        n, k = matrix.shape
-        names = tuple(names) if names else tuple(f"x{i}" for i in range(k))
-        return DesignMatrix(
-            matrix=matrix,
-            column_names=names,
-            outcome=np.asarray(y, dtype=float),
-            weeks=np.arange(1, n + 1, dtype=float),
-            changepoint=changepoint if changepoint is not None else n + 1,
-            intervention_columns=("intervention",) if "intervention" in names else (),
-        )
-
     def test_ols_vs_normal_equations_oracle(self):
         rng = np.random.default_rng(8001)
         worst = 0.0
@@ -218,7 +205,7 @@ class TestCriterion8Properties:
             k = int(rng.integers(2, 6))
             x = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
             y = rng.normal(size=n)
-            fit = fit_ols(self._make_design(x, y))
+            fit = fit_ols(make_design(x, y))
             beta = np.linalg.solve(x.T @ x, x.T @ y)
             worst = max(worst, float(np.max(np.abs(fit.beta - beta))))
         report(8, worst < 1e-8, f"OLS oracle: max |difference| = {worst:.2e} over 100 fits")
@@ -227,7 +214,7 @@ class TestCriterion8Properties:
         rng = np.random.default_rng(8002)
         x = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         y = rng.normal(size=50)
-        design = self._make_design(x, y, ["intercept", "a", "b"])
+        design = make_design(x, y, ["intercept", "a", "b"])
         arx = fit_arx(design, ArxSpec(0, ("intercept", "a", "b")))
         ols = fit_ols(design)
         worst = max(
@@ -282,7 +269,7 @@ class TestCriterion8Properties:
         for t in range(1, n):
             u[t] = phi_true * u[t - 1] + rng.normal()
         y = 3.0 + 2.0 * x + u
-        design = self._make_design(np.column_stack([np.ones(n), x]), y, ["intercept", "x"])
+        design = make_design(np.column_stack([np.ones(n), x]), y, ["intercept", "x"])
         fit = fit_arx(design, ArxSpec(1, ("intercept", "x")))
         truth = {"intercept": 3.0, "x": 2.0, "phi1": phi_true}
         estimates = {**fit.beta, "phi1": fit.phi[0]}
@@ -299,7 +286,7 @@ class TestCriterion8Properties:
             n = 60
             x = np.column_stack([np.ones(n), rng.normal(size=n)])
             y = rng.normal(size=n)
-            design = self._make_design(x, y, ["intercept", "spurious"])
+            design = make_design(x, y, ["intercept", "spurious"])
             base = fit_arx(design, ArxSpec(0, ("intercept",)))
             full = fit_arx(design, ArxSpec(0, ("intercept", "spurious")))
             pvals.append(likelihood_ratio_test(base, full).p_value)
@@ -314,7 +301,7 @@ class TestCriterion8Properties:
         weeks = np.arange(1, n + 1)
         indicator = (weeks >= 101).astype(float)
         y = 45.0 - 18.0 * indicator + 2.5 * rng.normal(size=n)
-        design = self._make_design(
+        design = make_design(
             np.column_stack([np.ones(n), indicator]),
             y,
             ["intercept", "intervention"],

@@ -8,6 +8,7 @@ import pytest
 import itsa
 from itsa.arx import (
     MAX_ITERATIONS,
+    WHITENESS_LAGS,
     ArxSpec,
     _fit_stack,
     _stationary,
@@ -17,23 +18,10 @@ from itsa.arx import (
     predict_arx,
     select_baseline,
 )
-from itsa.design import DesignMatrix
 from itsa.errors import FitError
-from itsa.ols import fit_ols
+from itsa.ols import fit_ols, gaussian_deviance
 
-
-def make_design(matrix, y, names=None, intervention=()):
-    matrix = np.asarray(matrix, dtype=float)
-    n, k = matrix.shape
-    names = tuple(names) if names else tuple(f"x{i}" for i in range(k))
-    return DesignMatrix(
-        matrix=matrix,
-        column_names=names,
-        outcome=np.asarray(y, dtype=float),
-        weeks=np.arange(1, n + 1, dtype=float),
-        changepoint=n + 1,
-        intervention_columns=tuple(intervention),
-    )
+from conftest import make_design
 
 
 def simulate_arx1(rng, n, beta0, beta1, phi, sigma=1.0):
@@ -224,6 +212,23 @@ class TestFitArx:
         design = make_design(matrix, rng.normal(size=60), ["intercept", "a", "b"])
         with pytest.raises(FitError, match="rank deficient: column 'b'"):
             fit_arx(design, ArxSpec(order, ("intercept", "a", "b")))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5], ids=["exact", "noisy"])
+    def test_exact_fit_rule_shared_with_fit_ols(self, rng, noise):
+        """At a level of 1e6 both estimators refuse the same exact fit and score the same noisy one."""
+        weeks = np.arange(1.0, 41.0)
+        y = 1e6 + weeks + noise * rng.normal(size=40)
+        design = make_design(np.column_stack([np.ones(40), weeks]), y, ["intercept", "time"])
+        spec = ArxSpec(0, ("intercept", "time"))
+        if noise:  # the residuals cancel ~6 digits of y, so the RSS agree to ~1e-10
+            assert fit_arx(design, spec).deviance == pytest.approx(
+                gaussian_deviance(fit_ols(design)), rel=1e-9
+            )
+        else:
+            with pytest.raises(FitError, match="exactly"):
+                fit_arx(design, spec)
+            with pytest.raises(FitError, match="unbounded"):
+                gaussian_deviance(fit_ols(design))
 
     def test_spec_validation(self):
         with pytest.raises(FitError, match="non-negative"):
@@ -578,6 +583,20 @@ class TestSelectBaseline:
     def test_empty_grid(self, occupancy_design):
         result = select_baseline(occupancy_design, 2, [])
         assert result.best is None and result.trace == ()
+
+    def test_series_too_short_for_whiteness_check(self, rng):
+        design = make_design(np.ones((22, 1)), rng.normal(size=22), ["intercept"])
+        with pytest.raises(
+            FitError, match=r"22 weeks with maximum order 3 leave 19 .* 10-lag whiteness check"
+        ):
+            select_baseline(design, 3, [("intercept",)])
+
+    def test_orders_without_whiteness_lags_are_inadmissible(self, occupancy_design):
+        result = select_baseline(occupancy_design, 10, [("intercept", "occupancy")])
+        for record in result.trace:
+            assert (record.whiteness_p is None) == (record.order >= WHITENESS_LAGS)
+            if record.whiteness_p is None:
+                assert not record.admissible
 
     def test_negative_max_order(self, occupancy_design):
         with pytest.raises(FitError, match="max_order"):

@@ -1,10 +1,12 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from itsa.cli import _fill_settings, build_parser, run
@@ -17,6 +19,13 @@ def invoke(argv):
     out = io.StringIO()
     code = run(argv, out=out)
     return code, out.getvalue()
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN, Infinity and -Infinity tokens that are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestDataCommands:
@@ -115,6 +124,40 @@ class TestFitCommand:
         assert code == 1
         assert "rank deficient: column 'flat'" in capsys.readouterr().err
 
+    def test_large_level_series_has_finite_deviance(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "level.csv"
+        rows = "".join(f"{w},{1e6 + w + rng.normal(0.0, 0.5)!r}\n" for w in range(1, 41))
+        path.write_text("week,y\n" + rows)
+        argv = ["fit", "--data", str(path), "--intervention-week", "20"]
+        code, text = invoke([*argv, "--format", "json"])
+        assert code == 0
+        payload = strict_json(text)
+        n, rss = payload["n"], payload["rss"]
+        direct = n * (math.log(2 * math.pi * rss / n) + 1)
+        assert payload["deviance"] == pytest.approx(direct, rel=1e-12)
+        code, text = invoke(argv)
+        assert code == 0
+        assert f"deviance={direct:.4f}" in text
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [lambda w: 3 + 2 * w, lambda w: 0, lambda w: 1 + w + 3 * (w >= 10)],
+        ids=["line", "zero", "line-and-step"],
+    )
+    def test_exact_fit_json_is_strict(self, tmp_path, outcome):
+        """An exact fit has no deviance, and no t or p where its RSS is exactly 0."""
+        path = tmp_path / "exact.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{outcome(w)}\n" for w in range(1, 21)))
+        code, text = invoke(
+            ["fit", "--data", str(path), "--intervention-week", "10", "--format", "json"]
+        )
+        assert code == 0
+        payload = strict_json(text)
+        assert payload["deviance"] is None
+        for term in payload["coefficients"].values():
+            assert (term["t"] is None) == (term["p"] is None) == (payload["rss"] == 0)
+
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
         assert code == 1
@@ -165,6 +208,25 @@ class TestArxCommand:
         assert payload["baseline"]["order"] == 2
         assert payload["full"]["beta"]["intervention"] == pytest.approx(-12.6, abs=0.3)
         assert len(payload["selection_trace"]) == 8  # 2 candidate sets x orders 0..3
+
+    def test_orders_beyond_whiteness_lags_write_null(self):
+        code, text = invoke([
+            "arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy",
+            "--arx-max-order", "10", "--format", "json",
+        ])
+        assert code == 0
+        trace = strict_json(text)["selection_trace"]
+        unchecked = [rec for rec in trace if rec["label"].startswith("ARX(10)")]
+        assert len(unchecked) == 2
+        assert all(rec["whiteness_p"] is None and not rec["admissible"] for rec in unchecked)
+
+    def test_series_too_short_for_whiteness_check_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{10 + (w * 7) % 5}\n" for w in range(1, 23)))
+        code, _ = invoke(["arx", "--data", str(path), "--intervention-week", "11"])
+        assert code == 1
+        assert ("22 weeks with maximum order 3 leave 19 weeks of residuals; "
+                "the 10-lag whiteness check needs more than 20") in capsys.readouterr().err
 
 
 class TestEffectCommand:

@@ -179,11 +179,9 @@ class TestDesignMatrixType:
         assert sub.column_names == ("intercept", "intervention", "occupancy")
         assert sub.intervention_columns == ("intervention",)
 
-    def test_zero_intervention_only_touches_intervention_columns(self, start_coded):
-        cf = start_coded.zero_intervention()
-        assert not np.any(cf.column("intervention"))
-        assert not np.any(cf.column("time_after"))
-        assert np.array_equal(cf.column("occupancy"), start_coded.column("occupancy"))
+    def test_intervention_columns_are_read_from_names(self, start_coded):
+        assert start_coded.intervention_columns == ("intervention", "time_after")
+        assert start_coded.subset(["intercept", "time"]).intervention_columns == ()
 
     def test_missing_column(self, start_coded):
         with pytest.raises(DesignError, match="no column named"):

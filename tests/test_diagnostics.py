@@ -4,23 +4,10 @@ import pytest
 import itsa
 from itsa.arx import ArxSpec, fit_arx
 from itsa.diagnostics import acf, durbin_watson, dw_p_value, ljung_box
-from itsa.design import DesignMatrix
 from itsa.errors import FitError
 from itsa.ols import fit_ols
 
-
-def make_design(matrix, y, names=None):
-    matrix = np.asarray(matrix, dtype=float)
-    n, k = matrix.shape
-    names = tuple(names) if names else tuple(f"x{i}" for i in range(k))
-    return DesignMatrix(
-        matrix=matrix,
-        column_names=names,
-        outcome=np.asarray(y, dtype=float),
-        weeks=np.arange(1, n + 1, dtype=float),
-        changepoint=n + 1,
-        intervention_columns=(),
-    )
+from conftest import make_design
 
 
 def dense_dw_moments(x):

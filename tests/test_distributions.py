@@ -8,7 +8,6 @@ from itsa.distributions import (
     chi_square_sf,
     normal_cdf,
     normal_quantile,
-    normal_sf,
     student_t_two_sided_p,
 )
 from itsa.errors import ItsaError
@@ -57,12 +56,10 @@ class TestNormal:
         for z in rng.uniform(-8, 8, size=50):
             assert normal_cdf(-z) == pytest.approx(1.0 - normal_cdf(z), abs=1e-12)
 
-    def test_monotone_and_sf_complement(self):
+    def test_monotone(self):
         grid = np.linspace(-8, 8, 401)
         values = [normal_cdf(z) for z in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        for z in grid[::20]:
-            assert normal_cdf(z) + normal_sf(z) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ItsaError):
@@ -93,7 +90,7 @@ class TestStudentT:
 
     def test_large_df_matches_normal(self):
         for t in np.linspace(-4, 4, 17):
-            two_sided_normal = 2 * normal_sf(abs(t)) if t != 0 else 1.0
+            two_sided_normal = 2 * normal_cdf(-abs(t)) if t != 0 else 1.0
             assert student_t_two_sided_p(t, 1e6) == pytest.approx(two_sided_normal, abs=1e-4)
 
     def test_invalid_df(self):

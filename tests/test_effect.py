@@ -35,7 +35,6 @@ def step_design(y, changepoint, extra=None, extra_names=()):
         outcome=np.asarray(y, dtype=float),
         weeks=weeks,
         changepoint=changepoint,
-        intervention_columns=("intervention",),
     )
 
 
@@ -67,7 +66,6 @@ class TestCounterfactualSeries:
                 outcome=design.matrix[:, 0] * 7.0,  # outcome ignores the indicator
                 weeks=design.weeks,
                 changepoint=design.changepoint,
-                intervention_columns=design.intervention_columns,
             )
         )
         cf = counterfactual_series(nulled, design)
@@ -81,7 +79,6 @@ class TestCounterfactualSeries:
             outcome=y,
             weeks=np.arange(1, 31, dtype=float),
             changepoint=15,
-            intervention_columns=(),
         )
         with pytest.raises(DesignError, match="intervention columns"):
             counterfactual_series(fit_ols(design), design)
@@ -221,7 +218,6 @@ class TestEffectSeries:
             outcome=full.outcome[:25],
             weeks=full.weeks[:25],
             changepoint=31,
-            intervention_columns=full.intervention_columns,
         )
         series = effect_series(fit, pre)
         assert series.estimates == ()
@@ -299,7 +295,7 @@ class TestPerWeekReference:
         method = "ols" if isinstance(fit, OlsFit) else "arx"
         row = int(week - design.weeks[0])
         x = design.columns(names)[row]
-        c = design.zero_intervention().columns(names)[row]
+        c = np.where(np.isin(names, ("intervention", "time_after")), 0.0, x)
         fitted, cf, absolute = float(x @ beta), float(c @ beta), float((x - c) @ beta)
         common = dict(week=week, observed=float(design.outcome[row]), fitted=fitted,
                       counterfactual=cf, ci_level=ci_level)

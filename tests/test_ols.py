@@ -8,23 +8,10 @@ import numpy as np
 import pytest
 
 import itsa
-from itsa.design import DesignMatrix
 from itsa.errors import FitError
 from itsa.ols import fit_ols, gaussian_deviance, predict
 
-
-def make_design(matrix, y, names=None, intervention=()):
-    matrix = np.asarray(matrix, dtype=float)
-    n, k = matrix.shape
-    names = tuple(names) if names else tuple(f"x{i}" for i in range(k))
-    return DesignMatrix(
-        matrix=matrix,
-        column_names=names,
-        outcome=np.asarray(y, dtype=float),
-        weeks=np.arange(1, n + 1, dtype=float),
-        changepoint=n + 1,
-        intervention_columns=tuple(intervention),
-    )
+from conftest import make_design
 
 
 def normal_equations_oracle(x, y):
@@ -61,6 +48,13 @@ class TestFitOls:
         truth = np.array([1.5, -2.0, 0.25, 4.0])
         d = make_design(x, x @ truth)
         assert np.allclose(fit_ols(d).beta, truth, atol=1e-9)
+
+    def test_zero_rss_leaves_t_undefined(self):
+        """Standard errors of 0 leave t and p undefined, without a division by zero."""
+        fit = fit_ols(make_design(np.column_stack([np.ones(6), np.arange(6.0)]), np.zeros(6)))
+        assert fit.rss == 0.0
+        assert all(se == 0.0 for se in fit.standard_errors.values())
+        assert all(math.isnan(fit.t_stats[c]) and math.isnan(fit.p_values[c]) for c in fit.column_names)
 
     def test_rank_deficient_names_column(self, rng):
         t = rng.normal(size=30)
@@ -155,6 +149,15 @@ class TestGaussianDeviance:
         assert gaussian_deviance(refit) - gaussian_deviance(fit) == pytest.approx(
             2 * fit.n * math.log(2), abs=1e-6
         )
+
+    def test_large_level_series_is_not_exact(self, rng):
+        """An RSS far above the rounding of y gets the Gaussian deviance, whatever the level."""
+        t = np.arange(1.0, 41.0)
+        y = 1e6 + t + rng.normal(0.0, 0.5, size=40)
+        fit = fit_ols(make_design(np.column_stack([np.ones(40), t]), y))
+        n = fit.n
+        direct = n * (math.log(2 * math.pi * fit.rss / n) + 1)
+        assert gaussian_deviance(fit) == pytest.approx(direct, rel=1e-12)
 
     def test_zero_rss_is_signaled(self):
         t = np.arange(1.0, 6.0)
