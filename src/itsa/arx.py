@@ -34,6 +34,7 @@ MAX_ITERATIONS = 50
 MAX_HALVINGS = 30
 WHITENESS_LAGS = 10
 WHITENESS_ALPHA = 0.05
+LRT_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,16 @@ class ArxSpec:
 
     order: int
     exogenous_columns: tuple[str, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise FitError(f"autoregressive order must be non-negative, got {self.order}")
         if not self.exogenous_columns:
             raise FitError("at least one exogenous column (the intercept) is required")
+
+    @property
+    def label(self) -> str:
+        return f"ARX({self.order}) {'+'.join(self.exogenous_columns)}"
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,6 @@ class ArxFit:
     conditioning: int  # initial observations held fixed (>= order)
     param_count: int  # order + exogenous + innovation variance
     stationary: bool
-    label: str = ""
 
     @property
     def beta_vector(self) -> np.ndarray:
@@ -164,26 +167,23 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     """
     y = design.outcome
     n = len(y)
-    columns = []
-    for spec in specs:
-        if cond < spec.order:
-            raise FitError(f"conditioning window {cond} is smaller than the order {spec.order}")
-        columns.append(design.columns(spec.exogenous_columns))
-        p, k = spec.order, len(spec.exogenous_columns)
-        if n <= 2 * (p + k):
-            raise FitError(f"need n > 2(p + k) observations: n={n}, p={p}, k={k}")
     m = len(specs)
-    big_k = max(c.shape[1] for c in columns)
+    big_k = max(len(spec.exogenous_columns) for spec in specs)
     big_p = max(spec.order for spec in specs)
     q = big_k + big_p
     ne = n - cond
     # Matrices are held transposed, a row per column, so that every column is contiguous.
     x = np.zeros((m, big_k, n))
     active = np.zeros((m, q), dtype=bool)
-    for i, (spec, c) in enumerate(zip(specs, columns)):
-        x[i, : c.shape[1]] = c.T
-        active[i, : c.shape[1]] = True
-        active[i, big_k : big_k + spec.order] = True
+    for i, spec in enumerate(specs):
+        p, k = spec.order, len(spec.exogenous_columns)
+        if cond < p:
+            raise FitError(f"conditioning window {cond} is smaller than the order {p}")
+        x[i, :k] = design.columns(spec.exogenous_columns).T
+        if n <= 2 * (p + k):
+            raise FitError(f"need n > 2(p + k) observations: n={n}, p={p}, k={k}")
+        active[i, :k] = True
+        active[i, big_k : big_k + p] = True
     pad = np.eye(q) * ~active[:, None, :]  # D: a unit row per absent slot
 
     # the plain-OLS start, from the R factor of [X; D | y; 0]
@@ -219,9 +219,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     iterations = np.zeros(m, dtype=int)
     stuck = np.zeros(m, dtype=bool)  # no halving of the last step lowered the RSS
     rows = np.arange(m)  # the member in each row of the stack
-    stop_reason = [""] * m
     final: list = [None] * m  # each member's state when it stopped
-    while rows.size:
+    while True:
         if is_exact_fit(float(rss.min()), y, ne):
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
         top = stacked[..., :ne]
@@ -242,29 +241,22 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         stop = stuck | (offset <= STOP_TOLERANCE) | (iterations == MAX_ITERATIONS)
         if stop.any():
             for s in np.flatnonzero(stop):
-                if stuck[s]:
-                    stop_reason[rows[s]] = "no_descent"
-                else:
-                    stop_reason[rows[s]] = "offset" if offset[s] <= STOP_TOLERANCE else "max_iterations"
-                final[rows[s]] = theta[s], e[s], rss[s], iterations[s], offset[s], hessian[s], minus_g[s]
+                final[rows[s]] = (theta[s], e[s], rss[s], iterations[s], offset[s], stuck[s],
+                                  hessian[s], minus_g[s])
             go = ~stop
-            rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked = (
-                a[go] for a in (rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked)
+            rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked, r_j, qte, hessian, minus_g = (
+                a[go] for a in (rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked,
+                                r_j, qte, hessian, minus_g)
             )
-            r_j, qte, hessian, minus_g = r_j[go], qte[go], hessian[go], minus_g[go]
             if not rows.size:
                 break
         try:
             np.linalg.cholesky(hessian)  # raises unless every member's is positive definite
             step = np.linalg.solve(hessian, minus_g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.linalg.solve(r_j, qte[..., None])[..., 0]  # Gauss-Newton
-            for s in range(len(step)):
-                try:
-                    np.linalg.cholesky(hessian[s])
-                    step[s] = np.linalg.solve(hessian[s], minus_g[s])
-                except np.linalg.LinAlgError:
-                    pass  # keep the Gauss-Newton step
+        except np.linalg.LinAlgError:  # Newton where the Hessian is positive definite, else Gauss-Newton
+            newton = np.linalg.eigvalsh(hessian)[:, :1] > 0
+            a = np.where(newton[..., None], hessian, r_j)
+            step = np.linalg.solve(a, np.where(newton, minus_g, qte)[..., None])[..., 0]
 
         for _ in range(MAX_HALVINGS):
             trial = theta + step
@@ -281,7 +273,9 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         theta, u, e, rss = trial, u_new, e_new, rss_new
         iterations += lower
 
-    theta, e, rss, iterations, offset, rss_hessian, minus_g = map(np.array, zip(*final))
+    theta, e, rss, iterations, offset, stuck, rss_hessian, minus_g = map(np.array, zip(*final))
+    stop_reasons = np.where(stuck, "no_descent",
+                            np.where(offset <= STOP_TOLERANCE, "offset", "max_iterations")).tolist()
     # exact Hessian of the profiled negative log-likelihood, identity/sigma2 on the absent block
     sigma2 = (rss / ne)[:, None, None]
     outer = minus_g[:, :, None] * minus_g[:, None, :]
@@ -299,8 +293,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         se_names = list(names) + [f"phi{j}" for j in range(1, p + 1)]
         if not stationary[i]:
             warnings.warn(
-                f"ARX({p}) fit {spec.label or names} has an autoregressive "
-                "root at or inside the unit circle; estimates may be unstable",
+                f"{spec.label} has an autoregressive root at or inside the unit circle; "
+                "estimates may be unstable",
                 stacklevel=3,
             )
         rss_i = float(rss[i])
@@ -319,13 +313,12 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 residuals=e[i],
                 converged=bool(offset[i] <= OFFSET_TOLERANCE),
                 iterations=int(iterations[i]),
-                stop_reason=stop_reason[i],
+                stop_reason=stop_reasons[i],
                 n=n,
                 n_effective=ne,
                 conditioning=cond,
                 param_count=p + k + 1,
                 stationary=bool(stationary[i]),
-                label=spec.label,
             )
         )
     return fits
@@ -354,10 +347,8 @@ def _stationary(phi: np.ndarray) -> np.ndarray:
     reciprocals, lie inside it.
     """
     m, p = phi.shape
-    if p == 0:
-        return np.ones(m, dtype=bool)
     companion = np.zeros((m, p, p))
-    companion[:, 0] = phi
+    companion[:, :1] = phi[:, None]
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
     return np.all(np.abs(np.linalg.eigvals(companion)) < 1.0 / (1.0 + 1e-8), axis=1)
 
@@ -417,13 +408,10 @@ def select_baseline(
         raise FitError(f"{design.n} weeks with maximum order {max_order} leave {n_common} weeks of "
                        f"residuals; the {WHITENESS_LAGS}-lag whiteness check needs more than "
                        f"{2 * WHITENESS_LAGS}")
-    specs = [
-        ArxSpec(order, tuple(columns), f"ARX({order}) {'+'.join(columns)}")
-        for columns in candidate_exogenous
-        for order in range(max_order + 1)
-    ]
+    specs = [ArxSpec(order, tuple(columns))
+             for columns in candidate_exogenous for order in range(max_order + 1)]
     trace: list[CandidateRecord] = []
-    for fit in _fit_stack(design, specs, max_order) if specs else []:
+    for spec, fit in zip(specs, _fit_stack(design, specs, max_order) if specs else []):
         bic = fit.deviance + fit.param_count * math.log(n_common)
         whiteness_p = None
         if WHITENESS_LAGS > fit.order:
@@ -431,7 +419,7 @@ def select_baseline(
         admissible = fit.converged and whiteness_p is not None and whiteness_p > WHITENESS_ALPHA
         trace.append(
             CandidateRecord(
-                label=fit.label,
+                label=spec.label,
                 order=fit.order,
                 exogenous_columns=fit.exogenous_columns,
                 deviance=fit.deviance,
@@ -450,13 +438,12 @@ def select_baseline(
             trace=ranked,
             message="no candidate passed the residual whiteness check",
         )
-    spec = ArxSpec(winner.order, winner.exogenous_columns, winner.label)
-    best = fit_arx(design, spec)  # natural conditioning window for reporting
+    best = fit_arx(design, ArxSpec(winner.order, winner.exogenous_columns))  # natural window
     return SelectionResult(best=best, trace=ranked, message=f"selected {winner.label}")
 
 
-def likelihood_ratio_test(baseline: ArxFit, full: ArxFit, alpha: float = 0.05) -> LrtResult:
-    """Deviance-difference test of nested ARX fits against chi-square."""
+def likelihood_ratio_test(baseline: ArxFit, full: ArxFit) -> LrtResult:
+    """Deviance-difference test of nested ARX fits against chi-square at level LRT_ALPHA."""
     if not baseline.converged:
         raise FitError("baseline fit did not converge")
     if not full.converged:
@@ -484,7 +471,7 @@ def likelihood_ratio_test(baseline: ArxFit, full: ArxFit, alpha: float = 0.05) -
             "optimizer found a worse optimum than the nested baseline"
         )
     df = full.param_count - baseline.param_count  # 0 when the fits have the same terms
-    critical = chi_square_quantile(1.0 - alpha, df) if df > 0 else 0.0
+    critical = chi_square_quantile(1.0 - LRT_ALPHA, df) if df > 0 else 0.0
     return LrtResult(
         lambda_=lam,
         df=df,

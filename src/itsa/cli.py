@@ -200,10 +200,9 @@ def _candidate_sets(confounders: tuple[str, ...]) -> list[tuple[str, ...]]:
     return candidates
 
 
-def _refit_with(design: design_mod.DesignMatrix, fit: arx_mod.ArxFit, column: str, label: str):
+def _refit_with(design: design_mod.DesignMatrix, fit: arx_mod.ArxFit, column: str):
     """Refit `fit`'s order and exogenous columns with `column` added."""
-    spec = arx_mod.ArxSpec(fit.order, fit.exogenous_columns + (column,), label)
-    return arx_mod.fit_arx(design, spec)
+    return arx_mod.fit_arx(design, arx_mod.ArxSpec(fit.order, fit.exogenous_columns + (column,)))
 
 
 def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.DesignMatrix):
@@ -213,7 +212,7 @@ def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.De
     )
     if selection.best is None:
         raise ItsaError(selection.message)
-    full = _refit_with(design, selection.best, design_mod.INTERVENTION, "full (level change)")
+    full = _refit_with(design, selection.best, design_mod.INTERVENTION)
     return selection, full
 
 
@@ -222,7 +221,7 @@ def _cmd_arx(args) -> tuple[dict, str]:
     selection, full = _select_and_fit_level_change(args, design)
     baseline = selection.best
     level_test = arx_mod.likelihood_ratio_test(baseline, full)
-    with_trend = _refit_with(design, full, design_mod.TIME_AFTER, "full (level + trend change)")
+    with_trend = _refit_with(design, full, design_mod.TIME_AFTER)
     trend_test = arx_mod.likelihood_ratio_test(full, with_trend)
 
     payload = {

@@ -66,10 +66,6 @@ class DesignMatrix:
         return self.matrix.shape[0]
 
     @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
     def intervention_columns(self) -> tuple[str, ...]:
         """The intervention indicator and post-intervention counter, those the design has."""
         return tuple(name for name in (INTERVENTION, TIME_AFTER) if name in self.column_names)

@@ -163,7 +163,8 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
     The summary reports the mean relative change over the post period
     and the first week from which the 8-week rolling mean of relative
     change stays within a 5-point band (the operational reading of a
-    "sustained" effect).
+    "sustained" effect). That band must hold for at least 8 rolling
+    means, so a series with fewer than 15 post weeks never stabilizes.
     """
     post_rows = np.flatnonzero(design.weeks >= design.changepoint)
     estimates = _estimates(fit, design, post_rows, ci_level)
@@ -172,13 +173,15 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
     mean_rel = sum(defined) / len(defined) if defined else None
 
     stabilization_week = None
-    if None not in relatives and len(relatives) >= STABILIZATION_WINDOW:
+    if None not in relatives and len(relatives) >= 2 * STABILIZATION_WINDOW - 1:
         window = np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW
         rolling = np.convolve(relatives, window, "valid")
         # max and min of every tail rolling[i:], as running extremes from the end
         tail_max = np.maximum.accumulate(rolling[::-1])[::-1]
         tail_min = np.minimum.accumulate(rolling[::-1])[::-1]
-        settled = np.flatnonzero(tail_max - tail_min < STABILIZATION_SPREAD)
+        # a settled tail holds at least STABILIZATION_WINDOW rolling means
+        spread = (tail_max - tail_min)[: rolling.size - STABILIZATION_WINDOW + 1]
+        settled = np.flatnonzero(spread < STABILIZATION_SPREAD)
         if settled.size:
             stabilization_week = estimates[settled[0]].week
     return EffectSeries(

@@ -245,7 +245,7 @@ class TestEffectCommand:
         assert code == 0
         assert "post-intervention weeks: 62" in text
         assert "mean relative change:" in text
-        assert "stabilized:" in text
+        assert "stabilized: not reached\n" in text  # the 8-week rolling mean drifts ~0.75 points a week
 
     def test_series_csv(self):
         code, text = invoke(["effect", *CASE_STUDY_FLAGS, "--format", "csv"])

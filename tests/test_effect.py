@@ -339,13 +339,17 @@ class TestPerWeekReference:
 class TestStabilizationScan:
     """The running-extremes scan must pick the same week as a scan of every tail."""
 
+    # the stabilization week of seeds 0..4 in each case of test_matches_direct_scan
+    WEEKS = {"early": [41] * 5, "late": [179, None, None, 183, None], "never": [None] * 5}
+
     @staticmethod
     def direct_scan(series):
+        """The first week whose tail of rolling means, at least a window long, spans under the band."""
         rel = [e.relative_change for e in series.estimates]
         if None in rel or len(rel) < STABILIZATION_WINDOW:
             return None
         rolling = np.convolve(rel, np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW, "valid")
-        for i in range(len(rolling)):
+        for i in range(len(rolling) - STABILIZATION_WINDOW + 1):
             if rolling[i:].max() - rolling[i:].min() < STABILIZATION_SPREAD:
                 return series.estimates[i].week
         return None
@@ -359,13 +363,24 @@ class TestStabilizationScan:
     def test_matches_direct_scan(self, swing, changepoint, reached):
         n = 200
         weeks = np.arange(1, n + 1)
+        found = []
         for seed in range(5):
             rng = np.random.default_rng(seed)
             z = swing * rng.uniform(-1.0, 1.0, n)
             y = 40.0 - 10.0 * (weeks >= changepoint) + z + 0.1 * rng.normal(size=n)
             design = step_design(y, changepoint, extra=z, extra_names=("swing",))
             series = effect_series(fit_ols(design), design)
-            week = series.stabilization_week
-            assert week == self.direct_scan(series)
-            assert {"early": week == changepoint, "never": week is None,
-                    "late": week is not None and week > changepoint + 20}[reached]
+            assert series.stabilization_week == self.direct_scan(series)
+            found.append(series.stabilization_week)
+        assert found == self.WEEKS[reached]
+
+    def test_steady_drift_never_stabilizes(self, rng):
+        """A relative change falling a point a week: every tail of 8 rolling means spans about 7."""
+        n, changepoint = 120, 41
+        weeks = np.arange(1, n + 1, dtype=float)
+        after = np.maximum(weeks - changepoint + 1, 0.0)
+        y = 40.0 - 0.4 * after + 0.01 * rng.normal(size=n)  # relative change about -after %
+        design = step_design(y, changepoint, extra=after, extra_names=("time_after",))
+        series = effect_series(fit_ols(design), design)
+        assert None not in [e.relative_change for e in series.estimates]
+        assert series.stabilization_week is None
