@@ -23,7 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import EPS, check_rank, is_exact_fit, json_number
+from .ols import EPS, check_rank, is_exact_fit
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -83,18 +83,6 @@ class ArxFit:
         """The exogenous coefficients in `exogenous_columns` order."""
         return np.array([self.beta[c] for c in self.exogenous_columns])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "phi": list(self.phi),
-            "beta": dict(self.beta),
-            "se": {name: json_number(se) for name, se in self.standard_errors.items()},
-            "sigma2": self.sigma2,
-            "deviance": self.deviance,
-            "n_effective": self.n_effective,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class LrtResult:
@@ -105,15 +93,6 @@ class LrtResult:
     critical_value: float
     p_value: float
     significant: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_,
-            "df": self.df,
-            "critical": self.critical_value,
-            "p": self.p_value,
-            "significant": self.significant,
-        }
 
 
 @dataclass(frozen=True)

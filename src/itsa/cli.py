@@ -39,11 +39,10 @@ def _fill_settings(args: argparse.Namespace) -> None:
     """Set each unset common flag from the --config file, else from _DEFAULTS, and check them."""
     file_values: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ItsaError(f"config file {args.config} is not valid JSON: {exc}") from None
+        try:
+            file_values = _read(args.config, json.load)
+        except json.JSONDecodeError as exc:
+            raise ItsaError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ItsaError(f"config file {args.config} must contain a JSON object")
 
@@ -87,12 +86,21 @@ def _config_value(path: str, key: str, value, flag: argparse.Action):
     return value
 
 
+def _read(path: str, read):
+    """read(fh) on the UTF-8 text file at `path`; a byte that is not UTF-8 is an ItsaError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return read(fh)
+        except UnicodeDecodeError as exc:
+            raise ItsaError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_dataset(args: argparse.Namespace) -> dataset_mod.TimeSeriesDataset:
     if args.builtin_case_study:
         ds = dataset_mod.load_case_study()
     else:
-        with open(args.data_path, encoding="utf-8") as fh:
-            ds = dataset_mod.parse_csv(fh, intervention_week=args.intervention_week)
+        ds = _read(args.data_path, functools.partial(dataset_mod.parse_csv,
+                                                     intervention_week=args.intervention_week))
     if args.outcome_column:
         ds = ds.with_outcome(args.outcome_column)
     return ds
@@ -116,6 +124,11 @@ def _build_case_design(args: argparse.Namespace) -> design_mod.DesignMatrix:
 
 def _fmt(value: float, precision: int = COEF_PRECISION) -> str:
     return f"{value:.{precision}f}"
+
+
+def _number(value: float) -> float | None:
+    """The value, or None where it is undefined (NaN or infinite), which JSON cannot write."""
+    return value if math.isfinite(value) else None
 
 
 def _csv(weeks, columns: dict) -> str:
@@ -156,21 +169,25 @@ def _cmd_fit(args) -> tuple[dict, str]:
     fit = ols_mod.fit_ols(_build_case_design(args))
     header = f"{'term':<16}{'coef':>12}{'se':>12}{'t':>10}{'p':>9}"
     lines = [header, "-" * len(header)]
+    terms = {}
     for name in fit.column_names:
-        lines.append(
-            f"{name:<16}"
-            f"{_fmt(fit.coefficients[name]):>12}"
-            f"{_fmt(fit.standard_errors[name]):>12}"
-            f"{_fmt(fit.t_stats[name]):>10}"
-            f"{_fmt(fit.p_values[name], P_PRECISION):>9}"
-        )
+        coef, se, t, p = (fit.coefficients[name], fit.standard_errors[name],
+                          fit.t_stats[name], fit.p_values[name])
+        terms[name] = {"estimate": coef, "se": se, "t": _number(t), "p": _number(p)}
+        lines.append(f"{name:<16}{_fmt(coef):>12}{_fmt(se):>12}{_fmt(t):>10}"
+                     f"{_fmt(p, P_PRECISION):>9}")
     lines.append(f"n={fit.n}  k={fit.k}  rss={_fmt(fit.rss)}  deviance={_fmt(fit.deviance)}")
-    return fit.to_json_dict(), "\n".join(lines) + "\n"
+    payload = {"coefficients": terms, "rss": fit.rss, "deviance": _number(fit.deviance),
+               "n": fit.n, "k": fit.k}
+    return payload, "\n".join(lines) + "\n"
 
 
 def _cmd_diagnose(args) -> tuple[dict, str]:
     design = _build_case_design(args)
     fit = ols_mod.fit_ols(design)
+    if ols_mod.is_exact_fit(fit.rss, design.outcome, fit.n):
+        raise ItsaError("the fit is exact (RSS = 0 to the rounding of y), so its residuals are "
+                        "rounding error and there is nothing to diagnose")
     d = diag_mod.durbin_watson(fit.residuals)
     dw = diag_mod.dw_p_value(d, design)
     max_lag = min(20, design.n // 2 - 1)
@@ -216,6 +233,13 @@ def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.De
     return selection, full
 
 
+def _arx_json(fit: arx_mod.ArxFit) -> dict:
+    return {"order": fit.order, "phi": list(fit.phi), "beta": dict(fit.beta),
+            "se": {name: _number(se) for name, se in fit.standard_errors.items()},
+            "sigma2": fit.sigma2, "deviance": fit.deviance, "n_effective": fit.n_effective,
+            "converged": fit.converged}
+
+
 def _cmd_arx(args) -> tuple[dict, str]:
     design = _build_case_design(args)
     selection, full = _select_and_fit_level_change(args, design)
@@ -224,17 +248,7 @@ def _cmd_arx(args) -> tuple[dict, str]:
     with_trend = _refit_with(design, full, design_mod.TIME_AFTER)
     trend_test = arx_mod.likelihood_ratio_test(full, with_trend)
 
-    payload = {
-        "baseline": baseline.to_json_dict(),
-        "full": full.to_json_dict(),
-        "level_test": level_test.to_json_dict(),
-        "trend_test": trend_test.to_json_dict(),
-        "selection_trace": [
-            {key: getattr(rec, key)
-             for key in ("label", "deviance", "bic", "whiteness_p", "admissible")}
-            for rec in selection.trace
-        ],
-    }
+    payload = {"baseline": _arx_json(baseline), "full": _arx_json(full)}
     lines = [
         f"{role + ':':<10}ARX({fit.order}) {'+'.join(fit.exogenous_columns)}  "
         f"deviance={_fmt(fit.deviance)}"
@@ -245,13 +259,28 @@ def _cmd_arx(args) -> tuple[dict, str]:
     for name, se in full.standard_errors.items():
         lines.append(f"{name:<16}{_fmt(estimates[name]):>12}{_fmt(se):>12}")
     for change, test in (("level", level_test), ("trend", trend_test)):
+        payload[f"{change}_test"] = {"lambda": test.lambda_, "df": test.df,
+                                     "critical": test.critical_value, "p": test.p_value,
+                                     "significant": test.significant}
         lines.append(
             f"{change} change:  lambda={_fmt(test.lambda_)}  df={test.df}  "
             f"critical={_fmt(test.critical_value)}  "
             f"p={_fmt(test.p_value, P_PRECISION)}  "
             f"{'significant' if test.significant else 'not significant'}"
         )
+    payload["selection_trace"] = [
+        {key: getattr(rec, key)
+         for key in ("label", "deviance", "bic", "whiteness_p", "admissible")}
+        for rec in selection.trace
+    ]
     return payload, "\n".join(lines) + "\n"
+
+
+def _effect_json(e: effect_mod.EffectEstimate) -> dict:
+    return {"week": e.week, "observed": e.observed, "fitted": e.fitted,
+            "counterfactual": e.counterfactual, "absolute_change": e.absolute_change,
+            "relative_change": e.relative_change, "ci_level": e.ci_level,
+            "ci": [e.ci_lower, e.ci_upper], "method": e.method}
 
 
 def _cmd_effect(args) -> tuple[dict | None, str]:
@@ -264,7 +293,7 @@ def _cmd_effect(args) -> tuple[dict | None, str]:
         ci = ("" if estimate.ci_lower is None
               else f"  {args.ci_level * 100:g}% CI "
                    f"({estimate.ci_lower:.1f}%, {estimate.ci_upper:.1f}%)")
-        return estimate.to_json_dict(), (
+        return _effect_json(estimate), (
             f"week {estimate.week}: observed={_fmt(estimate.observed)} "
             f"fitted={_fmt(estimate.fitted)} "
             f"counterfactual={_fmt(estimate.counterfactual)}\n"
@@ -281,9 +310,13 @@ def _cmd_effect(args) -> tuple[dict | None, str]:
                 else f"{series.mean_relative_change:.1f}%")
     stab = ("not reached" if series.weeks_to_stabilization is None
             else f"week {series.stabilization_week} ({series.weeks_to_stabilization} weeks in)")
-    return series.to_json_dict(), (f"post-intervention weeks: {len(series.estimates)}\n"
-                                   f"mean relative change: {mean_rel}\n"
-                                   f"stabilized: {stab}\n")
+    payload = {"estimates": [_effect_json(e) for e in series.estimates],
+               "mean_relative_change": series.mean_relative_change,
+               "stabilization_week": series.stabilization_week,
+               "weeks_to_stabilization": series.weeks_to_stabilization}
+    return payload, (f"post-intervention weeks: {len(series.estimates)}\n"
+                     f"mean relative change: {mean_rel}\n"
+                     f"stabilized: {stab}\n")
 
 
 def _cmd_export(args) -> tuple[None, str]:

@@ -41,19 +41,6 @@ class EffectEstimate:
     ci_upper: float | None
     method: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "week": self.week,
-            "observed": self.observed,
-            "fitted": self.fitted,
-            "counterfactual": self.counterfactual,
-            "absolute_change": self.absolute_change,
-            "relative_change": self.relative_change,
-            "ci_level": self.ci_level,
-            "ci": [self.ci_lower, self.ci_upper],
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class EffectSeries:
@@ -63,14 +50,6 @@ class EffectSeries:
     mean_relative_change: float | None
     stabilization_week: int | None  # first week from which the rolling mean stays put
     weeks_to_stabilization: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "estimates": [e.to_json_dict() for e in self.estimates],
-            "mean_relative_change": self.mean_relative_change,
-            "stabilization_week": self.stabilization_week,
-            "weeks_to_stabilization": self.weeks_to_stabilization,
-        }
 
 
 def _model_matrices(fit, design: DesignMatrix):
@@ -98,7 +77,7 @@ def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     if not design.intervention_columns:
         raise DesignError("design has no intervention columns")
     beta, _, _, model, intervention = _model_matrices(fit, design)
-    return np.where(intervention, 0.0, model) @ beta
+    return np.sum(np.where(intervention, 0.0, model) * beta, axis=1)  # as _estimates sums
 
 
 def _nan_to_none(column: np.ndarray) -> list:

@@ -6,8 +6,9 @@ distance from the span of the columns before it is tiny relative to the
 column's own norm, a test that does not depend on the columns' scales;
 the first such column is reported by name instead of silently producing
 garbage. An RSS within the rounding of y is an exact fit, whose
-likelihood is unbounded; the ARX fits share both rules. Inference uses
-the unbiased residual variance; the deviance the Gaussian MLE variance.
+likelihood is unbounded and whose t and p are undefined; the ARX fits
+share both rules. Inference uses the unbiased residual variance; the
+deviance the Gaussian MLE variance.
 """
 
 from __future__ import annotations
@@ -49,23 +50,6 @@ class OlsFit:
     def beta(self) -> np.ndarray:
         return np.array([self.coefficients[c] for c in self.column_names])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": {
-                name: {
-                    "estimate": self.coefficients[name],
-                    "se": self.standard_errors[name],
-                    "t": json_number(self.t_stats[name]),
-                    "p": json_number(self.p_values[name]),
-                }
-                for name in self.column_names
-            },
-            "rss": self.rss,
-            "deviance": json_number(self.deviance),
-            "n": self.n,
-            "k": self.k,
-        }
-
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
     """Fit the design by QR least squares with Student-t inference.
@@ -94,13 +78,13 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     covariance = sigma2_unbiased * (r_inv @ r_inv.T)  # (X'X)^-1 = R^-1 R^-T
 
     se = np.sqrt(np.diag(covariance))
-    t_stats = beta / se if rss > 0 else np.full(k, math.nan)  # se = 0: t is undefined
-    p_values = [student_t_two_sided_p(float(t), df) for t in t_stats]
-
-    if is_exact_fit(rss, y, n):
+    if is_exact_fit(rss, y, n):  # se is rounding error, so t and p are undefined
+        t_stats = np.full(k, math.nan)
         log_likelihood = math.inf  # unbounded; gaussian_deviance refuses it
     else:
+        t_stats = beta / se
         log_likelihood = -0.5 * n * (math.log(2.0 * math.pi * sigma2_mle) + 1.0)
+    p_values = [student_t_two_sided_p(float(t), df) for t in t_stats]
 
     names = design.column_names
     return OlsFit(
@@ -120,11 +104,6 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         column_names=names,
         covariance=covariance,
     )
-
-
-def json_number(value: float) -> float | None:
-    """The value, or None where it is undefined (NaN or infinite), which JSON cannot write."""
-    return value if math.isfinite(value) else None
 
 
 def check_rank(diagonal: np.ndarray, norms: np.ndarray, names) -> None:

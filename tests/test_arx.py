@@ -342,7 +342,6 @@ class TestCaseStudyArx:
 
     def test_stops_on_the_offset_test(self, case_fit):
         assert case_fit.stop_reason == "offset"
-        assert "stop_reason" not in case_fit.to_json_dict()
 
     def test_stops_at_the_iteration_cap(self, occupancy_design, monkeypatch):
         monkeypatch.setattr("itsa.arx.MAX_ITERATIONS", 1)

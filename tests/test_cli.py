@@ -54,6 +54,18 @@ class TestDataCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, content", [
+        ("--data", b"week,y\n1,5\n2,\xff\n3,7\n"),
+        ("--config", b'{"lag": "\xff"}'),
+    ], ids=["data", "config"])
+    def test_undecodable_file_exits_1(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "bad"
+        path.write_bytes(content)
+        source = ["--builtin-case-study"] if flag == "--config" else []
+        code, _ = invoke(["data", "validate", *source, flag, str(path)])
+        assert code == 1
+        assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
+
     def test_no_input_exits_1(self, capsys):
         code, _ = invoke(["data", "validate"])
         assert code == 1
@@ -146,7 +158,7 @@ class TestFitCommand:
         ids=["line", "zero", "line-and-step"],
     )
     def test_exact_fit_json_is_strict(self, tmp_path, outcome):
-        """An exact fit has no deviance, and no t or p where its RSS is exactly 0."""
+        """An exact fit has no deviance, t or p, whether its RSS is 0 or rounding error."""
         path = tmp_path / "exact.csv"
         path.write_text("week,y\n" + "".join(f"{w},{outcome(w)}\n" for w in range(1, 21)))
         code, text = invoke(
@@ -156,7 +168,7 @@ class TestFitCommand:
         payload = strict_json(text)
         assert payload["deviance"] is None
         for term in payload["coefficients"].values():
-            assert (term["t"] is None) == (term["p"] is None) == (payload["rss"] == 0)
+            assert term["t"] is None and term["p"] is None
 
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
@@ -176,6 +188,14 @@ class TestDiagnoseCommand:
         assert payload["dw"]["stat"] == pytest.approx(1.98, abs=0.01)
         assert payload["ljung_box"]["df"] == 10
         assert len(payload["acf"]) == 20
+
+    def test_exact_fit_exits_1(self, tmp_path, capsys):
+        """The residuals of y = 1 + week are rounding error, not a series to diagnose."""
+        path = tmp_path / "line.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{1 + w}\n" for w in range(1, 41)))
+        code, text = invoke(["diagnose", "--data", str(path), "--intervention-week", "20"])
+        assert (code, text) == (1, "")
+        assert "the fit is exact" in capsys.readouterr().err
 
     def test_table_output(self):
         code, text = invoke(["diagnose", *CASE_STUDY_FLAGS])
@@ -263,6 +283,22 @@ class TestEffectCommand:
         code, text = invoke(["effect", *CASE_STUDY_FLAGS, "--week", "54", "--ci-level", level])
         assert code == 0
         assert f"  {label} (" in text
+
+    def test_undefined_relative_change_is_null(self, tmp_path, rng):
+        """Weeks with a non-positive counterfactual write null, never NaN, in the JSON."""
+        weeks = np.arange(1, 61)
+        # the counterfactual 12 - 0.3 * week crosses zero at week 40, inside the post period
+        y = 12.0 - 0.3 * weeks + 5.0 * (weeks >= 21) + 0.2 * rng.normal(size=weeks.size)
+        path = tmp_path / "crossing.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{v!r}\n" for w, v in zip(weeks, y.tolist())))
+        code, text = invoke(["effect", "--data", str(path), "--intervention-week", "21",
+                             "--format", "json"])
+        assert code == 0
+        estimates = strict_json(text)["estimates"]
+        undefined = [e for e in estimates if e["method"] == "ols:relative-undefined"]
+        assert undefined and len(undefined) < len(estimates)
+        for e in undefined:
+            assert e["relative_change"] is None and e["ci"] == [None, None]
 
     def test_week_out_of_range_exits_1(self, capsys):
         code, _ = invoke(["effect", *CASE_STUDY_FLAGS, "--week", "999"])

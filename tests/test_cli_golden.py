@@ -11,7 +11,10 @@ cannot fail the test; its layout is checked by re-serializing it.
 Regenerate the file (only for an intended change of output) with
 `PYTHONPATH=src python tests/test_cli_golden.py`. Naming cases, as in
 `PYTHONPATH=src python tests/test_cli_golden.py arx/all/json fit/lag2/table`,
-re-captures only those and keeps every other stored case as it is.
+re-captures only those and keeps every other stored case as it is. A
+re-captured JSON number that agrees with the stored one within the
+test's tolerance keeps its stored value, so the diff shows only real
+changes; text is stored as captured.
 """
 
 import contextlib
@@ -93,6 +96,22 @@ def capture(argv: list[str], directory: pathlib.Path) -> dict:
     return result
 
 
+def same_number(actual, expected: float) -> bool:
+    """Does `actual` equal the float `expected` within 1e-9 relative (NaN equal to NaN)?"""
+    return isinstance(actual, (int, float)) and not isinstance(actual, bool) and (
+        (math.isnan(actual) and math.isnan(expected))
+        or math.isclose(actual, expected, rel_tol=1e-9))
+
+
+def keep_stored_numbers(fresh, stored):
+    """`fresh`, where each float that `same_number` finds equal to its stored value keeps that."""
+    if isinstance(fresh, dict) and isinstance(stored, dict):
+        return {key: keep_stored_numbers(value, stored.get(key)) for key, value in fresh.items()}
+    if isinstance(fresh, list) and isinstance(stored, list) and len(fresh) == len(stored):
+        return [keep_stored_numbers(f, s) for f, s in zip(fresh, stored)]
+    return stored if isinstance(stored, float) and same_number(fresh, stored) else fresh
+
+
 def assert_json_close(actual, expected, where="$"):
     if isinstance(expected, dict):
         assert isinstance(actual, dict) and list(actual) == list(expected), where
@@ -103,10 +122,7 @@ def assert_json_close(actual, expected, where="$"):
         for i, (a, e) in enumerate(zip(actual, expected)):
             assert_json_close(a, e, f"{where}[{i}]")
     elif isinstance(expected, float) and not isinstance(actual, bool):
-        assert isinstance(actual, (int, float)), where
-        same = (math.isnan(actual) and math.isnan(expected)) or math.isclose(
-            actual, expected, rel_tol=1e-9)
-        assert same, f"{where}: {actual!r} != {expected!r}"
+        assert same_number(actual, expected), f"{where}: {actual!r} != {expected!r}"
     else:
         assert type(actual) is type(expected) and actual == expected, where
 
@@ -129,6 +145,15 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert actual == expected
 
 
+def test_recapture_keeps_stored_numbers_within_tolerance():
+    stored = {"a": 1.0, "b": [2.0, {"c": 3.0, "d": "text"}], "e": 5.0, "f": 7.0}
+    fresh = {"a": 1.0 + 1e-12, "b": [2.5, {"c": 3.0 - 1e-12, "d": "new text"}], "e": 5,
+             "f": None, "g": 8.0}
+    assert keep_stored_numbers(fresh, stored) == {
+        "a": 1.0, "b": [2.5, {"c": 3.0, "d": "new text"}], "e": 5.0, "f": None, "g": 8.0}
+    assert keep_stored_numbers([1.0 + 1e-12, 2.0], [1.0]) == [1.0 + 1e-12, 2.0]
+
+
 if __name__ == "__main__":
     cases = golden_cases()
     names = sys.argv[1:] or list(cases)
@@ -140,6 +165,8 @@ if __name__ == "__main__":
     for result in captured.values():  # JSON output is stored parsed, to be compared by value
         if "json" in result["argv"] and result["out"].startswith("{"):
             result["json"] = json.loads(result.pop("out"))
+    captured = {name: keep_stored_numbers(result, GOLDEN.get(name))
+                for name, result in captured.items()}
     stored = {**GOLDEN, **captured}
     merged = {name: stored[name] for name in cases if name in stored}  # in golden_cases() order
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
