@@ -23,7 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import EPS, check_rank, is_exact_fit
+from .ols import EPS, check_rank, dependent_columns, is_exact_fit
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -171,8 +171,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     stacked[:, :big_k, n:] = pad[:, :big_k, :big_k]
     stacked[:, big_k, :n] = y
     r = np.linalg.qr(stacked.mT, mode="r")
-    check_rank(np.diagonal(r, axis1=1, axis2=2)[:, :big_k], np.linalg.norm(x, axis=2),
-               [spec.exogenous_columns for spec in specs])
+    check_rank(r[:, :big_k, :big_k], [spec.exogenous_columns for spec in specs])
     theta = np.zeros((m, q))
     theta[:, :big_k] = np.linalg.solve(r[:, :big_k, :big_k], r[:, :big_k, big_k:])[..., 0]
 
@@ -232,10 +231,11 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         try:
             np.linalg.cholesky(hessian)  # raises unless every member's is positive definite
             step = np.linalg.solve(hessian, minus_g[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # Newton where the Hessian is positive definite, else Gauss-Newton
-            newton = np.linalg.eigvalsh(hessian)[:, :1] > 0
-            a = np.where(newton[..., None], hessian, r_j)
-            step = np.linalg.solve(a, np.where(newton, minus_g, qte)[..., None])[..., 0]
+            singular = np.zeros(len(rows), dtype=bool)
+        except np.linalg.LinAlgError:  # each member's own step
+            steps = [_step(*member) for member in zip(hessian, minus_g, r_j, qte)]
+            singular = np.array([s is None for s in steps])  # no step: the member stops as "no_descent"
+            step = np.array([np.zeros(q) if s is None else s for s in steps])
 
         for _ in range(MAX_HALVINGS):
             trial = theta + step
@@ -245,20 +245,21 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
             if lower.all():
                 break
             step[~lower] *= 0.5
-        stuck = ~lower
+        stuck = ~lower | singular
         if stuck.any():  # keep the last point
             trial[stuck], u_new[stuck] = theta[stuck], u[stuck]
             e_new[stuck], rss_new[stuck] = e[stuck], rss[stuck]
         theta, u, e, rss = trial, u_new, e_new, rss_new
-        iterations += lower
+        iterations += ~stuck
 
     theta, e, rss, iterations, offset, stuck, rss_hessian, minus_g = map(np.array, zip(*final))
     stop_reasons = np.where(stuck, "no_descent",
                             np.where(offset <= STOP_TOLERANCE, "offset", "max_iterations")).tolist()
-    # exact Hessian of the profiled negative log-likelihood, identity/sigma2 on the absent block
+    # exact Hessian of the profiled negative log-likelihood, identity/sigma2 on the absent block,
+    # inverted with sigma2 factored out, so that a tiny sigma2 neither overflows nor underflows it
     sigma2 = (rss / ne)[:, None, None]
     outer = minus_g[:, :, None] * minus_g[:, None, :]
-    covariances = _inverse(rss_hessian / sigma2 - 2.0 * outer / (ne * sigma2**2))
+    covariances = sigma2 * _inverse(rss_hessian - 2.0 * outer / (ne * sigma2))
     stationary = _stationary(theta[:, big_k:])
     fits = []
     for i, spec in enumerate(specs):
@@ -303,6 +304,19 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     return fits
 
 
+def _step(hessian: np.ndarray, minus_g: np.ndarray, r: np.ndarray, qte: np.ndarray):
+    """One member's Newton step, else its Gauss-Newton step, else None where it has neither.
+
+    Newton needs a Hessian with a Cholesky factor and a solution, Gauss-Newton an R
+    that passes the rank test.
+    """
+    try:
+        np.linalg.cholesky(hessian)
+        return np.linalg.solve(hessian, minus_g)
+    except np.linalg.LinAlgError:
+        return None if dependent_columns(r).any() else np.linalg.solve(r, qte)
+
+
 def _inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of each matrix in the stack; all NaN for one that is singular."""
     try:
@@ -343,16 +357,15 @@ def arx_deviance(fit: ArxFit) -> float:
 
 
 def predict_arx(fit: ArxFit, design: DesignMatrix) -> np.ndarray:
-    """One-step-ahead in-sample predictions; leading values are NaN.
+    """One-step-ahead in-sample predictions y_t - e_t, read off the fit's own residuals.
 
-    The first `conditioning` entries have no lagged errors available and
-    are returned as NaN rather than extrapolated.
+    The first `conditioning` weeks have no lagged errors: they are NaN, not extrapolated.
     """
-    x = design.columns(fit.exogenous_columns)
-    y = design.outcome
-    u = _lagged(y - x @ fit.beta_vector, fit.order, fit.conditioning)
-    out = np.full(len(y), np.nan)
-    out[fit.conditioning:] = y[fit.conditioning:] - (u[0] - np.array(fit.phi) @ u[1:])
+    if design.n != fit.n or not set(fit.exogenous_columns) <= set(design.column_names):
+        raise FitError(f"design ({design.n} weeks, {list(design.column_names)}) is not the fit's "
+                       f"own ({fit.n} weeks, {list(fit.exogenous_columns)})")
+    out = np.full(fit.n, np.nan)
+    out[fit.conditioning:] = design.outcome[fit.conditioning:] - fit.residuals
     return out
 
 

@@ -29,11 +29,11 @@ def normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value 2*P(T >= |t|) for Student-t with df degrees of freedom."""
+def student_t_two_sided_p(t, df: float):
+    """Two-sided p-value 2*P(T >= |t|) for Student-t with df degrees of freedom, elementwise in t."""
     if df <= 0:
         raise ItsaError(f"degrees of freedom must be positive, got {df}")
-    return float(special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+    return special.betainc(0.5 * df, 0.5, df / (df + t * t))
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -19,7 +19,7 @@ from .arx import ArxFit
 from .design import DesignMatrix
 from .distributions import normal_quantile
 from .errors import DesignError, FitError
-from .ols import OlsFit
+from .ols import OlsFit, linear_predictor
 
 # rolling window (weeks) and spread (percentage points) for "sustained"
 STABILIZATION_WINDOW = 8
@@ -77,7 +77,7 @@ def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     if not design.intervention_columns:
         raise DesignError("design has no intervention columns")
     beta, _, _, model, intervention = _model_matrices(fit, design)
-    return np.sum(np.where(intervention, 0.0, model) * beta, axis=1)  # as _estimates sums
+    return linear_predictor(np.where(intervention, 0.0, model), beta)
 
 
 def _nan_to_none(column: np.ndarray) -> list:
@@ -87,10 +87,9 @@ def _nan_to_none(column: np.ndarray) -> list:
 def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[EffectEstimate, ...]:
     """Effect estimates at the given row indices of the design, computed together.
 
-    Every quantity is a column over the rows, each an elementwise product
-    summed per row with no matrix product, so a row's estimate does not
-    depend on which other rows are requested alongside it. Pre-intervention
-    rows are exactly zero; NaN marks an undefined relative change and CI.
+    Every quantity is a column over the rows, and every product with beta a
+    `linear_predictor` row sum, so no row depends on the others requested.
+    Pre-intervention rows are exactly zero; NaN marks an undefined relative change and CI.
     """
     if not 0.0 < ci_level < 1.0:
         raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
@@ -100,17 +99,19 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
     cf_rows = np.where(intervention, 0.0, model_rows)  # intervention columns zeroed
     intervention_part = np.where(intervention, model_rows, 0.0)
 
-    fitted = np.sum(model_rows * beta, axis=1)
-    cf = np.sum(cf_rows * beta, axis=1)
+    fitted = linear_predictor(model_rows, beta)
+    cf = linear_predictor(cf_rows, beta)
     pre = ~np.any(intervention_part, axis=1)  # pre-intervention: zero effect by construction
     defined = ~pre & (cf > 0)  # relative change needs a positive counterfactual
-    absolute = np.where(pre, 0.0, np.sum(intervention_part * beta, axis=1))
+    absolute = np.where(pre, 0.0, linear_predictor(intervention_part, beta))
 
-    # delta method: d/dbeta of 100 * (a'b) / (c'b); 1.0 stands in where it is undefined
-    c = np.where(defined, cf, 1.0)[:, None]
-    gradient = 100.0 * (intervention_part * c - absolute[:, None] * cf_rows) / c**2
-    se = np.sqrt(np.sum(gradient[:, :, None] * cov * gradient[:, None, :], axis=(1, 2)))
-    relative = np.where(pre | defined, 100.0 * absolute / c[:, 0], np.nan)  # pre rows: 0.0 / 1.0
+    # delta method: d/dbeta of 100 (a'b) / (c'b) is 100 h / (c'b) with h = a - (a'b) / (c'b) c,
+    # so the se divides by c'b once, after the quadratic form, where a tiny c'b can neither
+    # underflow nor overflow it; 1.0 stands in for c'b where the relative change is undefined
+    c = np.where(defined, cf, 1.0)
+    h = intervention_part - (absolute / c)[:, None] * cf_rows
+    se = 100.0 * np.sqrt(np.sum(h[:, :, None] * cov * h[:, None, :], axis=(1, 2))) / c
+    relative = np.where(pre | defined, 100.0 * absolute / c, np.nan)  # pre rows: 0.0 / 1.0
     half_width = np.where(defined, normal_quantile(0.5 + ci_level / 2.0) * se, 0.0)
     tags = np.where(pre, method,
                     np.where(defined, method + ":delta", method + ":relative-undefined"))

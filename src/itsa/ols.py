@@ -24,6 +24,7 @@ from .errors import FitError
 
 RANK_TOLERANCE = 1e-10
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,11 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         raise FitError(f"need more observations than parameters: n={n}, k={k}")
 
     q, r = np.linalg.qr(x)
-    check_rank(np.diag(r), np.linalg.norm(x, axis=0), design.column_names)
+    check_rank(r, design.column_names)
 
     r_inv = np.linalg.inv(r)  # LU of a triangular R swaps no rows: a triangular inverse
     beta = r_inv @ (q.T @ y)
-    fitted = x @ beta
+    fitted = linear_predictor(x, beta)
     residuals = y - fitted
     rss = float(residuals @ residuals)
     df = n - k
@@ -84,14 +85,13 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     else:
         t_stats = beta / se
         log_likelihood = -0.5 * n * (math.log(2.0 * math.pi * sigma2_mle) + 1.0)
-    p_values = [student_t_two_sided_p(float(t), df) for t in t_stats]
 
     names = design.column_names
     return OlsFit(
         coefficients=dict(zip(names, beta.tolist())),
         standard_errors=dict(zip(names, se.tolist())),
         t_stats=dict(zip(names, t_stats.tolist())),
-        p_values=dict(zip(names, p_values)),
+        p_values=dict(zip(names, student_t_two_sided_p(t_stats, df).tolist())),
         residuals=residuals,
         fitted=fitted,
         rss=rss,
@@ -106,13 +106,24 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     )
 
 
-def check_rank(diagonal: np.ndarray, norms: np.ndarray, names) -> None:
-    """Raise `FitError` naming the first column whose QR |R_jj| is tiny against its norm.
+def dependent_columns(r: np.ndarray) -> np.ndarray:
+    """Mask of the columns of a QR factor R (or a stack of them) with |R_jj| tiny against their norm.
 
-    |R_jj| is column j's distance from the span of the columns before it.
+    |R_jj| is column j's distance from the span of the columns before it, and
+    R's column j has the norm of the factored column j. `np.hypot` sums its
+    squares without underflow, so a column of tiny values is judged on its own
+    scale; a distance below the smallest normal float has lost its precision.
+    """
+    tolerance = np.maximum(RANK_TOLERANCE * np.hypot.reduce(r, axis=-2), TINY)
+    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) <= tolerance
+
+
+def check_rank(r: np.ndarray, names) -> None:
+    """Raise `FitError` naming the first of the `dependent_columns` of R.
+
     A stack of designs has a leading member axis and a tuple of names per member.
     """
-    dependent = np.abs(diagonal) <= RANK_TOLERANCE * norms
+    dependent = dependent_columns(r)
     if dependent.any():
         *member, j = np.argwhere(dependent)[0]
         column = (names[member[0]] if member else names)[j]
@@ -121,7 +132,13 @@ def check_rank(diagonal: np.ndarray, norms: np.ndarray, names) -> None:
 
 
 def is_exact_fit(rss: float, y: np.ndarray, rows: int) -> bool:
-    """Is an RSS of `rows` residuals of y within the rounding of y: RSS <= rows (10 eps max|y|)^2?"""
+    """Is an RSS of `rows` residuals of y within the rounding of y: RSS <= rows (10 eps max|y|)^2?
+
+    A square below the smallest normal float has lost its precision, so an RSS
+    below `rows` of those is within rounding too.
+    """
+    if rss <= rows * TINY:
+        return True
     scale = rows * (10.0 * EPS) ** 2
     # max|y|^2 <= y'y, so the dot product settles most fits without the maximum
     return rss <= scale * float(y @ y) and rss <= scale * float(np.abs(y).max()) ** 2
@@ -134,11 +151,14 @@ def gaussian_deviance(fit: OlsFit) -> float:
     return fit.deviance
 
 
+def linear_predictor(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X @ beta as each row's sum of elementwise products: unlike BLAS, no row depends on the others."""
+    return np.sum(matrix * beta, axis=1)
+
+
 def predict(fit: OlsFit, design: DesignMatrix) -> np.ndarray:
     """Row-wise linear predictions X @ beta; columns must match the fit."""
     if design.column_names != fit.column_names:
-        raise FitError(
-            f"design columns {list(design.column_names)} do not match "
-            f"fit columns {list(fit.column_names)}"
-        )
-    return design.matrix @ fit.beta
+        raise FitError(f"design columns {list(design.column_names)} do not match "
+                       f"fit columns {list(fit.column_names)}")
+    return linear_predictor(design.matrix, fit.beta)

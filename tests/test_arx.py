@@ -369,10 +369,13 @@ class TestCaseStudyArx:
 
     def test_convergence_does_not_depend_on_outcome_scale(self, occupancy_design):
         spec = ArxSpec(2, ("intercept", "time", "occupancy", "intervention", "time_after"))
-        tiny = dataclasses.replace(occupancy_design, outcome=occupancy_design.outcome * 1e-8)
-        fit, tiny_fit = fit_arx(occupancy_design, spec), fit_arx(tiny, spec)
-        assert tiny_fit.converged is True  # a Python bool, so JSON output can carry it
-        assert tiny_fit.phi == pytest.approx(fit.phi, rel=0.0, abs=1e-8)
+        fit = fit_arx(occupancy_design, spec)
+        for scale in (1e-8, 1e-100):  # at 1e-100, sigma2^2 underflows to 0
+            tiny = dataclasses.replace(occupancy_design, outcome=occupancy_design.outcome * scale)
+            tiny_fit = fit_arx(tiny, spec)
+            assert tiny_fit.converged is True  # a Python bool, so JSON output can carry it
+            assert tiny_fit.phi == pytest.approx(fit.phi, rel=0.0, abs=1e-8)
+            assert tiny_fit.standard_errors["phi1"] == pytest.approx(fit.standard_errors["phi1"], rel=1e-6)
 
 
 class TestNewtonSteps:
@@ -451,6 +454,22 @@ class TestStackedFits:
         assert [fit.stop_reason for fit in fits] == ["offset"] * 4 + ["no_descent", "offset"]
         for spec, stacked in zip(specs, fits):
             self.assert_same_fit(stacked, fit_arx(design, spec, conditioning=2))
+
+    def test_singular_gauss_newton_step_stops_without_descent(self):
+        """On an exact line the intercept and the lagged errors of ARX(2) and up are dependent.
+
+        Their Gauss-Newton R has a zero on its diagonal: the member takes no step and stops
+        unconverged, in the stack and alone, where the solve used to raise `LinAlgError`.
+        """
+        design = make_design(np.ones((66, 1)), 0.5 * np.arange(66.0), ["intercept"])
+        specs = [ArxSpec(p, ("intercept",)) for p in range(4)]
+        with pytest.warns(UserWarning, match=r"ARX\(1\) intercept has an autoregressive root"):
+            fits = _fit_stack(design, specs, 3)
+        assert [(fit.stop_reason, fit.converged) for fit in fits] == [
+            ("offset", True), ("max_iterations", False), ("no_descent", False), ("no_descent", False)]
+        for spec in specs[2:]:
+            fit = fit_arx(design, spec)
+            assert (fit.stop_reason, fit.converged, fit.iterations) == ("no_descent", False, 0)
 
     def test_every_member_stops_at_the_iteration_cap(self, cli_grid, monkeypatch):
         design, specs = cli_grid

@@ -119,14 +119,15 @@ class TestFitCommand:
 
     def test_collinear_confounder_exits_1(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
-        rows = "\n".join(f"{w},{w % 5},1" for w in range(1, 31))
-        path.write_text("week,y,flat\n" + rows + "\n")
-        code, _ = invoke([
-            "fit", "--data", str(path), "--intervention-week", "15",
-            "--confounders", "flat",
-        ])
-        assert code == 1
-        assert "rank deficient" in capsys.readouterr().err
+        for flat in ("1", "3.8e-242", "5e-324"):  # tiny, and below the normal floats
+            rows = "\n".join(f"{w},{w % 5},{flat}" for w in range(1, 31))
+            path.write_text("week,y,flat\n" + rows + "\n")
+            code, _ = invoke([
+                "fit", "--data", str(path), "--intervention-week", "15",
+                "--confounders", "flat",
+            ])
+            assert code == 1
+            assert "rank deficient" in capsys.readouterr().err
 
     def test_collinear_arx_candidate_exits_1(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -154,21 +155,29 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "outcome",
-        [lambda w: 3 + 2 * w, lambda w: 0, lambda w: 1 + w + 3 * (w >= 10)],
-        ids=["line", "zero", "line-and-step"],
+        [lambda w: 3 + 2 * w, lambda w: 0, lambda w: 1 + w + 3 * (w >= 10),
+         lambda w: 1e-161 * ((7 * w) % 5 - 2), lambda w: 6.4e-277, lambda w: 2.2e-309],
+        ids=["line", "zero", "line-and-step", "squares-below-normal", "tiny", "below-normal"],
     )
     def test_exact_fit_json_is_strict(self, tmp_path, outcome):
-        """An exact fit has no deviance, t or p, whether its RSS is 0 or rounding error."""
+        """An exact fit has no deviance, t or p, whether its RSS is 0 or rounding error.
+
+        The squares of residuals of 1e-161 are below the smallest normal float, so
+        their RSS is rounding error too, and their standard errors underflow to 0.
+        The effects of a tiny constant divide by a tiny counterfactual.
+        """
         path = tmp_path / "exact.csv"
         path.write_text("week,y\n" + "".join(f"{w},{outcome(w)}\n" for w in range(1, 21)))
-        code, text = invoke(
-            ["fit", "--data", str(path), "--intervention-week", "10", "--format", "json"]
-        )
+        flags = ["--data", str(path), "--intervention-week", "10", "--format", "json"]
+        code, text = invoke(["fit", *flags])
         assert code == 0
         payload = strict_json(text)
         assert payload["deviance"] is None
         for term in payload["coefficients"].values():
             assert term["t"] is None and term["p"] is None
+        code, text = invoke(["effect", *flags])
+        assert code == 0
+        strict_json(text)
 
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
@@ -239,6 +248,29 @@ class TestArxCommand:
         unchecked = [rec for rec in trace if rec["label"].startswith("ARX(10)")]
         assert len(unchecked) == 2
         assert all(rec["whiteness_p"] is None and not rec["admissible"] for rec in unchecked)
+
+    @pytest.mark.parametrize("command", [["arx"], ["export", "--arx", "--output", "{out}"]],
+                             ids=["arx", "export-arx"])
+    @pytest.mark.parametrize("rows, flags", [
+        (["week,y", *(f"{w},{0.5 * (w - 2)}" for w in range(2, 68))],
+         ["--intervention-week", "16", "--lag", "2"]),
+        (["week,y,c0,c1", *(f"{w},{round(0.5 * w)},{int(w == 0)},{int(w == 3)}" for w in range(80))],
+         ["--intervention-week", "10", "--confounders", "c0,c1"]),
+    ], ids=["line", "rounded-line-and-spikes"])
+    @pytest.mark.filterwarnings("ignore:.*autoregressive root:UserWarning")
+    def test_singular_step_exits_1(self, tmp_path, capsys, command, rows, flags):
+        """No ARX candidate converges, and none escapes as a traceback.
+
+        On a noise-free line the Gauss-Newton R is singular. On the rounded line
+        with spikes a diverging member's Hessian has a Cholesky factor but no solution.
+        """
+        path = tmp_path / "line.csv"
+        path.write_text("\n".join(rows) + "\n")
+        argv = [arg.format(out=tmp_path / "out.csv") for arg in command]
+        code, _ = invoke([*argv, "--data", str(path), *flags])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: no candidate passed the residual whiteness check"]
 
     def test_series_too_short_for_whiteness_check_exits_1(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -16,7 +16,7 @@ from itsa.effect import (
     effect_series,
 )
 from itsa.errors import DesignError, FitError
-from itsa.ols import OlsFit, fit_ols
+from itsa.ols import OlsFit, fit_ols, predict
 
 
 def step_design(y, changepoint, extra=None, extra_names=()):
@@ -73,7 +73,7 @@ class TestCounterfactualSeries:
     @pytest.mark.parametrize(
         "confounders", [[], ["occupancy"], ["admissions", "discharges", "occupancy"]])
     def test_equals_effect_series_bit_for_bit(self, case_study, confounders):
-        """`export` and `effect` print the same counterfactual, to the last bit, at every lag."""
+        """`export` and `effect` print the same fitted and counterfactual to the last bit, at any lag."""
         for lag in range(6):
             design = itsa.build_design(case_study, itsa.InterventionSpec(53, lag), confounders)
             fit = fit_ols(design)
@@ -81,6 +81,9 @@ class TestCounterfactualSeries:
             post = np.flatnonzero(design.weeks >= design.changepoint)
             assert counterfactual_series(fit, design)[post].tolist() == [
                 e.counterfactual for e in series.estimates]
+            fitted = [e.fitted for e in series.estimates]
+            assert predict(fit, design)[post].tolist() == fitted
+            assert fit.fitted[post].tolist() == fitted
 
     def test_requires_declared_intervention_columns(self, rng):
         y = rng.normal(size=30)
