@@ -62,13 +62,14 @@ class ArxFit:
     order: int
     exogenous_columns: tuple[str, ...]
     phi: tuple[float, ...]
-    beta: dict[str, float]
+    coefficients: dict[str, float]  # the exogenous coefficients by name
     standard_errors: dict[str, float]  # keys: exogenous names and "phi1".."phip"
     covariance: np.ndarray  # inverse observed information, order (exogenous..., phi...)
     sigma2: float
     log_likelihood: float
     deviance: float
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
+    fitted: np.ndarray  # one-step predictions y_t - e_t over the same weeks
     converged: bool
     iterations: int  # accepted Newton or Gauss-Newton steps
     stop_reason: str  # "offset", "max_iterations" or "no_descent"
@@ -79,9 +80,12 @@ class ArxFit:
     stationary: bool
 
     @property
-    def beta_vector(self) -> np.ndarray:
-        """The exogenous coefficients in `exogenous_columns` order."""
-        return np.array([self.beta[c] for c in self.exogenous_columns])
+    def beta(self) -> np.ndarray:
+        return np.array([self.coefficients[c] for c in self.exogenous_columns])
+
+    @property
+    def label(self) -> str:
+        return ArxSpec(self.order, self.exogenous_columns).label
 
 
 @dataclass(frozen=True)
@@ -97,15 +101,11 @@ class LrtResult:
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """One entry of the baseline-selection trace."""
+    """One entry of the baseline-selection trace: a candidate's fit on the common window, scored."""
 
-    label: str
-    order: int
-    exogenous_columns: tuple[str, ...]
-    deviance: float
+    fit: ArxFit
     bic: float
     whiteness_p: float | None  # None when the order leaves no whiteness lags
-    converged: bool
     admissible: bool
 
 
@@ -261,6 +261,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     outer = minus_g[:, :, None] * minus_g[:, None, :]
     covariances = sigma2 * _inverse(rss_hessian - 2.0 * outer / (ne * sigma2))
     stationary = _stationary(theta[:, big_k:])
+    fitted = y[cond:] - e
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns
@@ -284,13 +285,14 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 order=p,
                 exogenous_columns=names,
                 phi=tuple(theta[i, big_k : big_k + p].tolist()),
-                beta=dict(zip(names, theta[i, :k].tolist())),
+                coefficients=dict(zip(names, theta[i, :k].tolist())),
                 standard_errors=dict(zip(se_names, se.tolist())),
                 covariance=covariance,
                 sigma2=rss_i / ne,
                 log_likelihood=log_likelihood,
                 deviance=-2.0 * log_likelihood,
                 residuals=e[i],
+                fitted=fitted[i],
                 converged=bool(offset[i] <= OFFSET_TOLERANCE),
                 iterations=int(iterations[i]),
                 stop_reason=stop_reasons[i],
@@ -356,17 +358,12 @@ def arx_deviance(fit: ArxFit) -> float:
     return fit.deviance
 
 
-def predict_arx(fit: ArxFit, design: DesignMatrix) -> np.ndarray:
-    """One-step-ahead in-sample predictions y_t - e_t, read off the fit's own residuals.
+def predict_arx(fit: ArxFit) -> np.ndarray:
+    """The fit's one-step-ahead in-sample predictions over all n weeks.
 
     The first `conditioning` weeks have no lagged errors: they are NaN, not extrapolated.
     """
-    if design.n != fit.n or not set(fit.exogenous_columns) <= set(design.column_names):
-        raise FitError(f"design ({design.n} weeks, {list(design.column_names)}) is not the fit's "
-                       f"own ({fit.n} weeks, {list(fit.exogenous_columns)})")
-    out = np.full(fit.n, np.nan)
-    out[fit.conditioning:] = design.outcome[fit.conditioning:] - fit.residuals
-    return out
+    return np.concatenate([np.full(fit.conditioning, np.nan), fit.fitted])
 
 
 def select_baseline(
@@ -403,24 +400,13 @@ def select_baseline(
     specs = [ArxSpec(order, tuple(columns))
              for columns in candidate_exogenous for order in range(max_order + 1)]
     trace: list[CandidateRecord] = []
-    for spec, fit in zip(specs, _fit_stack(design, specs, max_order) if specs else []):
+    for fit in _fit_stack(design, specs, max_order) if specs else []:
         bic = fit.deviance + fit.param_count * math.log(n_common)
         whiteness_p = None
         if WHITENESS_LAGS > fit.order:
             whiteness_p = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order).p_value
         admissible = fit.converged and whiteness_p is not None and whiteness_p > WHITENESS_ALPHA
-        trace.append(
-            CandidateRecord(
-                label=spec.label,
-                order=fit.order,
-                exogenous_columns=fit.exogenous_columns,
-                deviance=fit.deviance,
-                bic=bic,
-                whiteness_p=whiteness_p,
-                converged=fit.converged,
-                admissible=admissible,
-            )
-        )
+        trace.append(CandidateRecord(fit, bic, whiteness_p, admissible))
 
     ranked = tuple(sorted(trace, key=lambda rec: rec.bic))
     winner = next((rec for rec in ranked if rec.admissible), None)
@@ -430,8 +416,8 @@ def select_baseline(
             trace=ranked,
             message="no candidate passed the residual whiteness check",
         )
-    best = fit_arx(design, ArxSpec(winner.order, winner.exogenous_columns))  # natural window
-    return SelectionResult(best=best, trace=ranked, message=f"selected {winner.label}")
+    best = fit_arx(design, ArxSpec(winner.fit.order, winner.fit.exogenous_columns))  # natural window
+    return SelectionResult(best=best, trace=ranked, message=f"selected {winner.fit.label}")
 
 
 def likelihood_ratio_test(baseline: ArxFit, full: ArxFit) -> LrtResult:

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 from . import arx as arx_mod
 from . import dataset as dataset_mod
@@ -234,7 +235,7 @@ def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.De
 
 
 def _arx_json(fit: arx_mod.ArxFit) -> dict:
-    return {"order": fit.order, "phi": list(fit.phi), "beta": dict(fit.beta),
+    return {"order": fit.order, "phi": list(fit.phi), "beta": dict(fit.coefficients),
             "se": {name: _number(se) for name, se in fit.standard_errors.items()},
             "sigma2": fit.sigma2, "deviance": fit.deviance, "n_effective": fit.n_effective,
             "converged": fit.converged}
@@ -250,12 +251,11 @@ def _cmd_arx(args) -> tuple[dict, str]:
 
     payload = {"baseline": _arx_json(baseline), "full": _arx_json(full)}
     lines = [
-        f"{role + ':':<10}ARX({fit.order}) {'+'.join(fit.exogenous_columns)}  "
-        f"deviance={_fmt(fit.deviance)}"
+        f"{role + ':':<10}{fit.label}  deviance={_fmt(fit.deviance)}"
         for role, fit in (("baseline", baseline), ("full", full))
     ]
     lines.append(f"{'term':<16}{'coef':>12}{'se':>12}")
-    estimates = {**full.beta, **{f"phi{j}": ph for j, ph in enumerate(full.phi, start=1)}}
+    estimates = {**full.coefficients, **{f"phi{j}": ph for j, ph in enumerate(full.phi, start=1)}}
     for name, se in full.standard_errors.items():
         lines.append(f"{name:<16}{_fmt(estimates[name]):>12}{_fmt(se):>12}")
     for change, test in (("level", level_test), ("trend", trend_test)):
@@ -269,8 +269,8 @@ def _cmd_arx(args) -> tuple[dict, str]:
             f"{'significant' if test.significant else 'not significant'}"
         )
     payload["selection_trace"] = [
-        {key: getattr(rec, key)
-         for key in ("label", "deviance", "bic", "whiteness_p", "admissible")}
+        {"label": rec.fit.label, "deviance": rec.fit.deviance, "bic": rec.bic,
+         "whiteness_p": rec.whiteness_p, "admissible": rec.admissible}
         for rec in selection.trace
     ]
     return payload, "\n".join(lines) + "\n"
@@ -329,7 +329,7 @@ def _cmd_export(args) -> tuple[None, str]:
     }
     if args.arx:
         _, full = _select_and_fit_level_change(args, design)
-        columns["arx_fitted"] = arx_mod.predict_arx(full, design)  # NaN: no lagged errors yet
+        columns["arx_fitted"] = arx_mod.predict_arx(full)  # NaN: no lagged errors yet
 
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(_csv(design.weeks, columns))
@@ -398,15 +398,18 @@ def run(argv: list[str] | None = None, out=None) -> int:
     """Run one subcommand; write its JSON payload, or else its text, to `out`."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    try:
-        _fill_settings(args)
-        payload, text = args.handler(args)
-        if payload is not None and args.output_format == "json":
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        out.write(text)
-    except (ItsaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # Each warning the filters let through prints as one line, like an error; the filters stay.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            _fill_settings(args)
+            payload, text = args.handler(args)
+            if payload is not None and args.output_format == "json":
+                text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            out.write(text)
+        except (ItsaError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

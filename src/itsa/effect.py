@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arx import ArxFit
 from .design import DesignMatrix
 from .distributions import normal_quantile
 from .errors import DesignError, FitError
@@ -54,22 +53,12 @@ class EffectSeries:
 
 def _model_matrices(fit, design: DesignMatrix):
     """Coefficients, covariance, method tag, model matrix, and its intervention-column mask."""
-    if isinstance(fit, OlsFit):
-        names = fit.column_names
-        beta = fit.beta
-        cov = fit.covariance
-        method = "ols"
-    elif isinstance(fit, ArxFit):
-        names = fit.exogenous_columns
-        beta = fit.beta_vector
-        k = len(names)
-        cov = fit.covariance[:k, :k]
-        method = "arx"
-    else:
-        raise FitError(f"unsupported fit type {type(fit).__name__}")
+    names = tuple(fit.coefficients)  # OLS and ARX fits alike: covariance has this block first
+    k = len(names)
     intervention_columns = design.intervention_columns
     intervention = np.array([name in intervention_columns for name in names])
-    return beta, cov, method, design.columns(names), intervention
+    method = "ols" if isinstance(fit, OlsFit) else "arx"
+    return fit.beta, fit.covariance[:k, :k], method, design.columns(names), intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:

@@ -137,15 +137,15 @@ def test_criterion_3_autoregressive_pipeline(occupancy_design, data):
 def test_criterion_4_autoregressive_coefficients(occupancy_design):
     fit = fit_arx(occupancy_design, ArxSpec(2, ("intercept", "occupancy", "intervention")))
     checks = (
-        abs(fit.beta["intervention"] - (-12.59)) <= 1.0
-        and abs(fit.beta["occupancy"] - 1.02) <= 0.1
+        abs(fit.coefficients["intervention"] - (-12.59)) <= 1.0
+        and abs(fit.coefficients["occupancy"] - 1.02) <= 0.1
         and abs(fit.phi[1] - 0.19) <= 0.05
     )
     report(
         4,
         checks,
-        f"level={fit.beta['intervention']:.3f} occupancy={fit.beta['occupancy']:.3f} "
-        f"phi2={fit.phi[1]:.3f}",
+        f"level={fit.coefficients['intervention']:.3f} "
+        f"occupancy={fit.coefficients['occupancy']:.3f} phi2={fit.phi[1]:.3f}",
     )
 
 
@@ -218,7 +218,7 @@ class TestCriterion8Properties:
         arx = fit_arx(design, ArxSpec(0, ("intercept", "a", "b")))
         ols = fit_ols(design)
         worst = max(
-            abs(arx.beta[n] - ols.coefficients[n]) for n in ols.column_names
+            abs(arx.coefficients[n] - ols.coefficients[n]) for n in ols.column_names
         )
         report(8, worst < 1e-8, f"ARX(0) vs OLS: max |difference| = {worst:.2e}")
 
@@ -272,7 +272,7 @@ class TestCriterion8Properties:
         design = make_design(np.column_stack([np.ones(n), x]), y, ["intercept", "x"])
         fit = fit_arx(design, ArxSpec(1, ("intercept", "x")))
         truth = {"intercept": 3.0, "x": 2.0, "phi1": phi_true}
-        estimates = {**fit.beta, "phi1": fit.phi[0]}
+        estimates = {**fit.coefficients, "phi1": fit.phi[0]}
         worst = max(
             abs(estimates[name] - value) / fit.standard_errors[name]
             for name, value in truth.items()

@@ -69,7 +69,7 @@ def negll_gradient(design, fit, theta):
 
 def central_difference_se(design, fit):
     """Standard errors from central differences of the analytic gradient."""
-    theta = np.concatenate([fit.beta_vector, fit.phi])
+    theta = np.concatenate([fit.beta, fit.phi])
     h = 1e-5 * np.maximum(np.abs(theta), 1.0)
     columns = []
     for i in range(len(theta)):
@@ -142,7 +142,7 @@ class TestFitArx:
         arx = fit_arx(design, ArxSpec(0, ("intercept", "a", "b")))
         ols = fit_ols(design)
         for name in ols.column_names:
-            assert arx.beta[name] == pytest.approx(ols.coefficients[name], abs=1e-8)
+            assert arx.coefficients[name] == pytest.approx(ols.coefficients[name], abs=1e-8)
         assert np.allclose(arx.residuals, ols.residuals, atol=1e-8)
         assert arx.deviance == pytest.approx(
             ols.n * (math.log(2 * math.pi * ols.sigma2_mle) + 1), abs=1e-6
@@ -156,7 +156,7 @@ class TestFitArx:
         fit = fit_arx(design, ArxSpec(1, ("intercept", "x")))
         assert fit.converged
         truth = {"intercept": 2.0, "x": -1.5, "phi1": 0.6}
-        estimates = {**fit.beta, "phi1": fit.phi[0]}
+        estimates = {**fit.coefficients, "phi1": fit.phi[0]}
         for name, value in truth.items():
             se = fit.standard_errors[name]
             assert abs(estimates[name] - value) < 3 * se, name
@@ -272,9 +272,9 @@ class TestCaseStudyArx:
         assert arx_deviance(full_arx_fit) == pytest.approx(835.15, abs=0.5)
 
     def test_full_model_coefficients(self, full_arx_fit):
-        assert full_arx_fit.beta["intercept"] == pytest.approx(-55.48, abs=0.5)
-        assert full_arx_fit.beta["occupancy"] == pytest.approx(1.02, abs=0.05)
-        assert full_arx_fit.beta["intervention"] == pytest.approx(-12.60, abs=0.25)
+        assert full_arx_fit.coefficients["intercept"] == pytest.approx(-55.48, abs=0.5)
+        assert full_arx_fit.coefficients["occupancy"] == pytest.approx(1.02, abs=0.05)
+        assert full_arx_fit.coefficients["intervention"] == pytest.approx(-12.60, abs=0.25)
         assert full_arx_fit.phi[0] == pytest.approx(0.035, abs=0.05)
         assert full_arx_fit.phi[1] == pytest.approx(0.187, abs=0.05)
 
@@ -334,7 +334,7 @@ class TestCaseStudyArx:
         pinned = self.PINNED[case_fit.exogenous_columns]
         assert case_fit.deviance == pytest.approx(pinned["deviance"], rel=1e-6)
         assert case_fit.phi == pytest.approx(pinned["phi"], rel=1e-6)
-        assert case_fit.beta == pytest.approx(pinned["beta"], rel=1e-6)
+        assert case_fit.coefficients == pytest.approx(pinned["beta"], rel=1e-6)
         assert case_fit.standard_errors == pytest.approx(pinned["se"], rel=1e-4)
 
     def test_iterations_reported(self, case_fit):
@@ -419,7 +419,7 @@ class TestStackedFits:
             alone.converged,
         )
         assert stacked.deviance == pytest.approx(alone.deviance, rel=1e-12, abs=0.0)
-        assert stacked.beta == pytest.approx(alone.beta, rel=0.0, abs=1e-9)
+        assert stacked.coefficients == pytest.approx(alone.coefficients, rel=0.0, abs=1e-9)
         assert stacked.phi == pytest.approx(alone.phi, rel=0.0, abs=1e-9)
         assert stacked.standard_errors == pytest.approx(alone.standard_errors, rel=1e-9)
 
@@ -545,20 +545,29 @@ class TestStationarity:
 
 
 class TestPredictArx:
-    def test_leading_values_are_nan(self, baseline_fit, occupancy_design):
-        values = predict_arx(baseline_fit, occupancy_design)
+    def test_leading_values_are_nan(self, baseline_fit):
+        values = predict_arx(baseline_fit)
+        assert len(values) == baseline_fit.n
         assert np.all(np.isnan(values[:2]))
         assert np.all(np.isfinite(values[2:]))
 
     def test_consistent_with_residuals(self, baseline_fit, occupancy_design):
-        values = predict_arx(baseline_fit, occupancy_design)
-        observed = occupancy_design.outcome[2:]
-        assert np.allclose(observed - values[2:], baseline_fit.residuals, atol=1e-8)
+        """The predictions come from the fit alone: y - e after the NaN head, to the last bit."""
+        expected = np.concatenate(
+            [np.full(2, np.nan), occupancy_design.outcome[2:] - baseline_fit.residuals])
+        assert np.array_equal(predict_arx(baseline_fit), expected, equal_nan=True)
 
-    def test_missing_column(self, baseline_fit, occupancy_design):
-        reduced = occupancy_design.subset(["intercept", "time"])
-        with pytest.raises(Exception):
-            predict_arx(baseline_fit, reduced)
+    def test_fitted_plus_residuals_is_y(self, occupancy_design):
+        """On every grid member, stacked on the common window: fitted + residuals = y there.
+
+        (y - e) + e rounds twice, so the comparison allows a few units in the last place.
+        """
+        selection = select_baseline(occupancy_design, 3, [("intercept",), ("intercept", "occupancy")])
+        y = occupancy_design.outcome[3:]
+        for record in selection.trace:
+            fit = record.fit
+            assert fit.conditioning == 3 and len(fit.fitted) == len(y)
+            assert fit.fitted + fit.residuals == pytest.approx(y, rel=1e-13, abs=1e-13)
 
 
 class TestSelectBaseline:
@@ -615,7 +624,7 @@ class TestSelectBaseline:
     def test_orders_without_whiteness_lags_are_inadmissible(self, occupancy_design):
         result = select_baseline(occupancy_design, 10, [("intercept", "occupancy")])
         for record in result.trace:
-            assert (record.whiteness_p is None) == (record.order >= WHITENESS_LAGS)
+            assert (record.whiteness_p is None) == (record.fit.order >= WHITENESS_LAGS)
             if record.whiteness_p is None:
                 assert not record.admissible
 

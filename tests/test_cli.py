@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itsa.cli import _fill_settings, build_parser, run
+from itsa import InterventionSpec, build_design, load_case_study, select_baseline
+from itsa.cli import _candidate_sets, _fill_settings, build_parser, run
 
 CASE_STUDY_FLAGS = ["--builtin-case-study", "--intervention-week", "53"]
 UNKNOWN_KEY = {"confounder": "occupancy"}
@@ -238,6 +239,17 @@ class TestArxCommand:
         assert payload["full"]["beta"]["intervention"] == pytest.approx(-12.6, abs=0.3)
         assert len(payload["selection_trace"]) == 8  # 2 candidate sets x orders 0..3
 
+    def test_trace_is_read_off_the_selection_fits(self):
+        """Each JSON trace entry names and scores its candidate as the record's own fit does."""
+        confounders = ("occupancy", "admissions")
+        code, text = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", ",".join(confounders),
+                             "--format", "json"])
+        assert code == 0
+        design = build_design(load_case_study(), InterventionSpec(53), list(confounders))
+        selection = select_baseline(design, 3, _candidate_sets(confounders))
+        assert [(rec["label"], rec["deviance"]) for rec in strict_json(text)["selection_trace"]] == [
+            (rec.fit.label, rec.fit.deviance) for rec in selection.trace]
+
     def test_orders_beyond_whiteness_lags_write_null(self):
         code, text = invoke([
             "arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy",
@@ -257,7 +269,6 @@ class TestArxCommand:
         (["week,y,c0,c1", *(f"{w},{round(0.5 * w)},{int(w == 0)},{int(w == 3)}" for w in range(80))],
          ["--intervention-week", "10", "--confounders", "c0,c1"]),
     ], ids=["line", "rounded-line-and-spikes"])
-    @pytest.mark.filterwarnings("ignore:.*autoregressive root:UserWarning")
     def test_singular_step_exits_1(self, tmp_path, capsys, command, rows, flags):
         """No ARX candidate converges, and none escapes as a traceback.
 
@@ -376,6 +387,32 @@ class TestExportCommand:
             code, _ = invoke(["export", *CASE_STUDY_FLAGS, "--output", str(path)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWarnings:
+    """A warning prints as one `warning: ...` line on stderr, not as Python's file:line report."""
+
+    def test_arx_unit_root(self, tmp_path, capsys):
+        path = tmp_path / "line.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{0.5 * (w - 2)}\n" for w in range(2, 68)))
+        code, _ = invoke(["arx", "--data", str(path), "--intervention-week", "16", "--lag", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: ARX(1) intercept has an autoregressive root at or inside the unit circle; "
+            "estimates may be unstable",
+            "error: no candidate passed the residual whiteness check",
+        ]
+
+    def test_validate_derived_columns(self, tmp_path, capsys):
+        path = tmp_path / "derived.csv"
+        path.write_text("week,y,level change\n"
+                        + "".join(f"{w},{10 + w % 3},{int(w >= 10 or w == 5)}\n" for w in range(1, 21)))
+        code, _ = invoke(["data", "validate", "--data", str(path), "--intervention-week", "10"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: ignoring derived design columns: level change",
+            "warning: row 6: column 'level change' is 1 but intervention week 10 implies 0",
+        ]
 
 
 class TestConfigAndUsage:

@@ -214,7 +214,7 @@ class TestCaseStudyEffect:
         fit = fit_arx(design, ArxSpec(2, ("intercept", "occupancy", "intervention")))
         est = effect_at(fit, design, 60)
         assert est.method == "arx:delta"
-        assert est.absolute_change == pytest.approx(fit.beta["intervention"], abs=1e-9)
+        assert est.absolute_change == pytest.approx(fit.coefficients["intervention"], abs=1e-9)
         assert est.ci_lower < est.relative_change < est.ci_upper < 0
 
 
@@ -298,8 +298,8 @@ class TestPerWeekReference:
 
     @staticmethod
     def reference(fit, design, week, ci_level):
-        names = fit.column_names if isinstance(fit, OlsFit) else fit.exogenous_columns
-        beta = fit.beta if isinstance(fit, OlsFit) else fit.beta_vector
+        names = tuple(fit.coefficients)
+        beta = fit.beta
         cov = fit.covariance[:len(names), :len(names)]
         method = "ols" if isinstance(fit, OlsFit) else "arx"
         row = int(week - design.weeks[0])
