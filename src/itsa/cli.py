@@ -30,33 +30,42 @@ COEF_PRECISION = 4
 P_PRECISION = 3
 
 
-# The value of each setting that neither a flag nor the --config file gives.
-_DEFAULTS = {"data_path": None, "builtin_case_study": False, "outcome_column": None,
-             "intervention_week": None, "lag": 0, "confounders": "", "arx_max_order": 3,
-             "ci_level": 0.95, "output_format": "table"}
+def _config_words(path: str) -> list[str]:
+    """The --config file's settings as --flag=value words, each checked by parsing it alone."""
+    try:
+        values = _read(path, json.load)
+    except json.JSONDecodeError as exc:
+        raise ItsaError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ItsaError(f"config file {path} must contain a JSON object")
 
-
-def _fill_settings(args: argparse.Namespace) -> None:
-    """Set each unset common flag from the --config file, else from _DEFAULTS, and check them."""
-    file_values: dict = {}
-    if args.config:
-        try:
-            file_values = _read(args.config, json.load)
-        except json.JSONDecodeError as exc:
-            raise ItsaError(f"config file {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(file_values, dict):
-            raise ItsaError(f"config file {args.config} must contain a JSON object")
-
-    _, flags = _common_flags()
-    for key, value in file_values.items():
+    common, flags = _common_flags()
+    words = []
+    for key, value in values.items():
         if key not in flags:
-            raise ItsaError(f"config file {args.config}: {key} = {value!r} is not a setting; "
+            raise ItsaError(f"config file {path}: {key} = {value!r} is not a setting; "
                             f"the settings are {', '.join(flags)}")
-    for key, flag in flags.items():
-        if getattr(args, key) is None:
-            value = file_values.get(key)
-            setattr(args, key, _DEFAULTS[key] if value is None
-                    else _config_value(args.config, key, value, flag))
+        flag = flags[key]
+        option = flag.option_strings[0]
+        if key == "confounders" and isinstance(value, list) and all(type(v) is str for v in value):
+            value = ",".join(value)
+        if flag.nargs == 0:  # a switch, such as --builtin-case-study
+            takes, word = isinstance(value, bool), [option] if value is True else []
+        else:  # a string, or a number for a flag with a type
+            takes = type(value) in ((str, int, float) if flag.type else (str,))
+            word = [f"{option}={value}"]
+        try:
+            if not takes:
+                raise argparse.ArgumentError(flag, "not a JSON type this flag takes")
+            common.parse_args(word)
+        except argparse.ArgumentError:
+            raise ItsaError(f"config file {path}: {key} = {value!r} is not a valid "
+                            f"{option} value") from None
+        words += word
+    return words
+
+
+def _check_settings(args: argparse.Namespace) -> None:
     args.confounders = tuple(c.strip() for c in args.confounders.split(",") if c.strip())
     if not 0.0 < args.ci_level < 1.0:
         raise ItsaError(f"ci_level must lie in (0, 1), got {args.ci_level}")
@@ -64,27 +73,6 @@ def _fill_settings(args: argparse.Namespace) -> None:
         raise ItsaError(f"intervention week must be >= 1, got {args.intervention_week}")
     if not args.builtin_case_study and args.data_path is None:
         raise ItsaError("no input: pass --data PATH or --builtin-case-study")
-
-
-def _config_value(path: str, key: str, value, flag: argparse.Action):
-    """A config-file value, checked and converted as the flag's argument would be."""
-    if key == "confounders" and isinstance(value, list) and all(isinstance(v, str) for v in value):
-        value = ",".join(value)
-    if flag.nargs == 0:  # a switch, such as --builtin-case-study
-        valid = isinstance(value, bool)
-    else:
-        valid = isinstance(value, str) or (flag.type is not None and type(value) in (int, float))
-        if valid and flag.type is not None:
-            try:
-                value = flag.type(str(value))
-            except ValueError:
-                valid = False
-        valid = valid and (flag.choices is None or value in flag.choices)
-    if not valid:
-        raise ItsaError(
-            f"config file {path}: {key} = {value!r} is not a valid {flag.option_strings[0]} value"
-        )
-    return value
 
 
 def _read(path: str, read):
@@ -341,21 +329,21 @@ def _cmd_export(args) -> tuple[None, str]:
 @functools.cache
 def _common_flags() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
     """The flags every subcommand takes, keyed by their dests, which are the config-file keys."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     flag = common.add_argument
     flags = [
         flag("--data", dest="data_path", metavar="PATH", help="input CSV (week column first)"),
-        flag(  # default None: unset, so that a config file can supply it
-            "--builtin-case-study", action="store_true", default=None,
-            help="use the packaged 114-week OR-holds dataset"),
+        flag("--builtin-case-study", action="store_true",
+             help="use the packaged 114-week OR-holds dataset"),
         flag("--outcome", dest="outcome_column", metavar="NAME",
              help="outcome column (default: second column)"),
         flag("--intervention-week", type=int, metavar="N"),
-        flag("--lag", type=int, metavar="N", help="weeks before the intervention takes effect"),
-        flag("--confounders", metavar="A,B,C", help="comma-separated covariate names"),
-        flag("--arx-max-order", type=int, metavar="P"),
-        flag("--ci-level", type=float),
-        flag("--format", dest="output_format", choices=["table", "json", "csv"]),
+        flag("--lag", type=int, default=0, metavar="N",
+             help="weeks before the intervention takes effect"),
+        flag("--confounders", default="", metavar="A,B,C", help="comma-separated covariate names"),
+        flag("--arx-max-order", type=int, default=3, metavar="P"),
+        flag("--ci-level", type=float, default=0.95),
+        flag("--format", dest="output_format", choices=["table", "json", "csv"], default="table"),
     ]
     flag("--config", metavar="PATH", help="JSON config file; flags take precedence")
     return common, {action.dest: action for action in flags}
@@ -397,12 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None, out=None) -> int:
     """Run one subcommand; write its JSON payload, or else its text, to `out`."""
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     # Each warning the filters let through prints as one line, like an error; the filters stay.
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            _fill_settings(args)
+            if args.config:
+                # The file's words go before the command line's flags, so that those win.
+                commands = 2 if args.command == "data" else 1
+                args = build_parser().parse_args(
+                    [*argv[:commands], *_config_words(args.config), *argv[commands:]])
+            _check_settings(args)
             payload, text = args.handler(args)
             if payload is not None and args.output_format == "json":
                 text = json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -18,10 +18,14 @@ import numpy as np
 from . import _case_study
 from .errors import DataError
 
-# Precomputed design columns sometimes present in analysis-ready exports.
-# They are derivable from the week index and intervention week, so the
-# parser drops them rather than treating them as covariates.
-DERIVED_COLUMN_NAMES = frozenset({"level change", "trend change", "baseline trend"})
+# Precomputed design columns sometimes present in analysis-ready exports,
+# each with its values given the weeks and the intervention week. They are
+# derivable, so the parser drops them rather than treating them as covariates.
+DERIVED_COLUMNS = {
+    "level change": lambda weeks, start: (weeks >= start).astype(float),
+    "trend change": lambda weeks, start: np.maximum(weeks - start + 1, 0.0),
+    "baseline trend": lambda weeks, start: weeks,
+}
 
 
 def _canonical(name: str) -> str:
@@ -151,12 +155,11 @@ def parse_csv(source, intervention_week: int | None = None) -> TimeSeriesDataset
     """Parse a CSV stream (or string) into a validated dataset.
 
     The first column is the week index and the second the outcome;
-    remaining columns are covariates, in file order. Precomputed design
-    columns (level change / trend change / baseline trend) are ignored
-    with a warning so both raw exports and analysis-ready files load.
-    When `intervention_week` is given, any precomputed columns are
-    cross-checked against the values implied by that week; a mismatch
-    is reported as a warning, not an error.
+    remaining columns are covariates, in file order. Every cell must be a
+    finite number. Precomputed design columns (level change / trend change
+    / baseline trend) are dropped with a warning, so both raw exports and
+    analysis-ready files load. When `intervention_week` is given, each
+    such column that disagrees with it gets one more warning.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -165,66 +168,49 @@ def parse_csv(source, intervention_week: int | None = None) -> TimeSeriesDataset
         header = next(reader)
     except StopIteration:
         raise DataError("empty input: no header row") from None
-    if len(header) < 2:
+
+    derived = [i for i in range(1, len(header)) if _canonical(header[i]) in DERIVED_COLUMNS]
+    keep = [i for i in range(1, len(header)) if i not in derived]
+    if derived:
+        warnings.warn("ignoring derived design columns: " + ", ".join(header[i] for i in derived),
+                      stacklevel=2)
+    if not keep:
         raise DataError("header must name a week column and an outcome column")
 
-    keep: list[int] = []
-    derived: dict[str, int] = {}
-    for idx, name in enumerate(header[1:], start=1):
-        canon = _canonical(name)
-        if canon in DERIVED_COLUMN_NAMES:
-            derived[canon] = idx
-        else:
-            keep.append(idx)
-    if derived:
-        warnings.warn(
-            "ignoring derived design columns: "
-            + ", ".join(header[i] for i in derived.values()),
-            stacklevel=2,
-        )
-    if not keep:
-        raise DataError("no outcome column remains after dropping derived columns")
-
-    weeks: list[float] = []
-    rows: list[list[float]] = []
+    columns = [0, *keep, *derived]
+    rows: dict[int, list[float]] = {}  # each parsed row by its line number
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
             raise DataError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-        week = _parse_cell(row[0], row_no, header[0])
-        if week != int(week):
+        cells = [_parse_cell(row[i], row_no, header[i]) for i in columns]
+        if cells[0] != int(cells[0]):
             raise DataError(f"row {row_no}: week index must be an integer, got {row[0]!r}")
-        weeks.append(week)
-        rows.append([_parse_cell(row[i], row_no, header[i]) for i in keep])
-        if intervention_week is not None and derived:
-            _check_derived_cells(row, row_no, header, derived, week, intervention_week)
+        rows[row_no] = cells
 
     if not rows:
         raise DataError("empty input: no data rows")
+    table = np.array(list(rows.values()))
+    weeks = table[:, 0]
+    if intervention_week is not None:
+        for idx, given in zip(derived, table[:, 1 + len(keep):].T):
+            expected = DERIVED_COLUMNS[_canonical(header[idx])](weeks, intervention_week)
+            disagree = np.flatnonzero(given != expected)
+            if disagree.size:
+                i = disagree[0]
+                warnings.warn(
+                    f"row {list(rows)[i]}: column {header[idx]!r} is {given[i]:g} but "
+                    f"intervention week {intervention_week} implies {expected[i]:g} "
+                    f"({disagree.size} of {len(weeks)} rows disagree)",
+                    stacklevel=2,
+                )
     return TimeSeriesDataset(
-        weeks=np.array(weeks),
-        values=np.array(rows),
+        weeks=weeks,
+        values=table[:, 1:1 + len(keep)],
         outcome_name=header[keep[0]].strip(),
         covariate_names=tuple(header[i].strip() for i in keep[1:]),
     )
-
-
-def _check_derived_cells(row, row_no, header, derived, week, intervention_week) -> None:
-    post = week >= intervention_week
-    expected = {
-        "level change": 1.0 if post else 0.0,
-        "trend change": float(week - intervention_week + 1) if post else 0.0,
-        "baseline trend": float(week),
-    }
-    for canon, idx in derived.items():
-        value = _parse_cell(row[idx], row_no, header[idx])
-        if value != expected[canon]:
-            warnings.warn(
-                f"row {row_no}: column {header[idx]!r} is {value:g} but "
-                f"intervention week {intervention_week} implies {expected[canon]:g}",
-                stacklevel=3,
-            )
 
 
 def load_case_study() -> TimeSeriesDataset:

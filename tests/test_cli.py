@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from itsa import InterventionSpec, build_design, load_case_study, select_baseline
-from itsa.cli import _candidate_sets, _fill_settings, build_parser, run
+from itsa.cli import _candidate_sets, run
 
 CASE_STUDY_FLAGS = ["--builtin-case-study", "--intervention-week", "53"]
 UNKNOWN_KEY = {"confounder": "occupancy"}
@@ -411,8 +411,28 @@ class TestWarnings:
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [
             "warning: ignoring derived design columns: level change",
-            "warning: row 6: column 'level change' is 1 but intervention week 10 implies 0",
+            "warning: row 6: column 'level change' is 1 but intervention week 10 implies 0 "
+            "(1 of 20 rows disagree)",
         ]
+
+    def test_one_warning_per_disagreeing_column(self, tmp_path, capsys):
+        path = tmp_path / "derived.csv"
+        path.write_text("week,y,level change,trend change\n" + "".join(
+            f"{w},{w % 7},{int(w >= 20)},{max(w - 20, 0)}\n" for w in range(1, 41)))
+        code, _ = invoke(["data", "validate", "--data", str(path), "--intervention-week", "20"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: ignoring derived design columns: level change, trend change",
+            "warning: row 21: column 'trend change' is 0 but intervention week 20 implies 1 "
+            "(21 of 40 rows disagree)",
+        ]
+
+    @pytest.mark.parametrize("week", [[], ["--intervention-week", "3"]], ids=["none", "given"])
+    def test_non_numeric_derived_cell_exits_1(self, tmp_path, capsys, week):
+        path = tmp_path / "derived.csv"
+        path.write_text("week,y,trend change\n1,5,0\n2,6,x\n3,7,1\n")
+        assert invoke(["data", "validate", "--data", str(path), *week]) == (1, "")
+        assert "error: row 3, column 'trend change': non-numeric value 'x'" in capsys.readouterr().err
 
 
 class TestConfigAndUsage:
@@ -448,9 +468,10 @@ class TestConfigAndUsage:
         assert code == 0
         # the lag-0 estimate; the config file's lag 2 gives -15.3756
         assert json.loads(text)["coefficients"]["intervention"]["estimate"] == pytest.approx(-17.0587, abs=1e-4)
-        args = build_parser().parse_args(["arx", *common, "--lag", "0", "--arx-max-order", "0"])
-        _fill_settings(args)
-        assert (args.lag, args.arx_max_order, args.builtin_case_study) == (0, 0, True)
+        # the file's arx_max_order 2 finds a baseline; order 0 has no candidate with white residuals
+        arx = ["arx", *common, "--confounders", "occupancy"]
+        assert invoke(arx)[0] == 0
+        assert invoke([*arx, "--arx-max-order", "0"]) == (1, "")
 
     def test_invalid_config_payload(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -480,6 +501,17 @@ class TestConfigAndUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg}")
         assert key is None or f": {key} = " in err
+
+    @pytest.mark.parametrize("values, flags", [
+        ({"output_format": "xml"}, ["--format", "table"]),  # checked although the flag wins
+        ({"lag": None}, []),  # null is no value a flag takes
+    ], ids=["overridden", "null"])
+    def test_every_config_value_is_checked(self, tmp_path, capsys, values, flags):
+        cfg = tmp_path / "analysis.json"
+        cfg.write_text(json.dumps(values))
+        assert invoke(["fit", *CASE_STUDY_FLAGS, "--config", str(cfg), *flags]) == (1, "")
+        key, value = next(iter(values.items()))
+        assert f"error: config file {cfg}: {key} = {value!r} is not a valid" in capsys.readouterr().err
 
     def test_config_strings_parse_as_flags(self, tmp_path):
         cfg = tmp_path / "analysis.json"

@@ -56,6 +56,16 @@ class TestParseCsv:
         with pytest.raises(DataError, match=r"row 3.*'y'"):
             parse_csv("week,y\n1,1\n2,oops\n3,3\n")
 
+    @pytest.mark.filterwarnings("ignore:ignoring derived design columns")
+    @pytest.mark.parametrize("text", ["week\n1\n2\n3\n", "week,Level Change\n1,0\n2,0\n3,1\n"])
+    def test_header_needs_an_outcome_column(self, text):
+        with pytest.raises(DataError, match="header must name a week column and an outcome column"):
+            parse_csv(text)
+
+    def test_fractional_week_reports_row(self):
+        with pytest.raises(DataError, match=r"^row 3: week index must be an integer, got '2\.5'$"):
+            parse_csv("week,y\n1,1\n2.5,2\n3,3\n")
+
     def test_blank_cell_is_an_error(self):
         with pytest.raises(DataError, match="blank cell"):
             parse_csv("week,y\n1,1\n2,\n3,3\n")
