@@ -66,15 +66,13 @@ class ArxFit:
     standard_errors: dict[str, float]  # keys: exogenous names and "phi1".."phip"
     covariance: np.ndarray  # inverse observed information, order (exogenous..., phi...)
     sigma2: float
-    log_likelihood: float
-    deviance: float
+    deviance: float  # -2 x conditional log-likelihood at the profiled sigma2
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
     fitted: np.ndarray  # one-step predictions y_t - e_t over the same weeks
     converged: bool
     iterations: int  # accepted Newton or Gauss-Newton steps
     stop_reason: str  # "offset", "max_iterations" or "no_descent"
     n: int
-    n_effective: int
     conditioning: int  # initial observations held fixed (>= order)
     param_count: int  # order + exogenous + innovation variance
     stationary: bool
@@ -105,7 +103,7 @@ class CandidateRecord:
 
     fit: ArxFit
     bic: float
-    whiteness_p: float | None  # None when the order leaves no whiteness lags
+    whiteness_p: float  # NaN when the order leaves no whiteness lags
     admissible: bool
 
 
@@ -160,7 +158,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
             raise FitError(f"conditioning window {cond} is smaller than the order {p}")
         x[i, :k] = design.columns(spec.exogenous_columns).T
         if n <= 2 * (p + k):
-            raise FitError(f"need n > 2(p + k) observations: n={n}, p={p}, k={k}")
+            raise FitError(f"{spec.label} needs n > 2(p + k) observations: n={n}, p={p}, k={k}")
         active[i, :k] = True
         active[i, big_k : big_k + p] = True
     pad = np.eye(q) * ~active[:, None, :]  # D: a unit row per absent slot
@@ -279,7 +277,6 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 stacklevel=3,
             )
         rss_i = float(rss[i])
-        log_likelihood = -0.5 * ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0)
         fits.append(
             ArxFit(
                 order=p,
@@ -289,15 +286,13 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 standard_errors=dict(zip(se_names, se.tolist())),
                 covariance=covariance,
                 sigma2=rss_i / ne,
-                log_likelihood=log_likelihood,
-                deviance=-2.0 * log_likelihood,
+                deviance=ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0),
                 residuals=e[i],
                 fitted=fitted[i],
                 converged=bool(offset[i] <= OFFSET_TOLERANCE),
                 iterations=int(iterations[i]),
                 stop_reason=stop_reasons[i],
                 n=n,
-                n_effective=ne,
                 conditioning=cond,
                 param_count=p + k + 1,
                 stationary=bool(stationary[i]),
@@ -402,10 +397,10 @@ def select_baseline(
     trace: list[CandidateRecord] = []
     for fit in _fit_stack(design, specs, max_order) if specs else []:
         bic = fit.deviance + fit.param_count * math.log(n_common)
-        whiteness_p = None
+        whiteness_p = math.nan
         if WHITENESS_LAGS > fit.order:
             whiteness_p = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order).p_value
-        admissible = fit.converged and whiteness_p is not None and whiteness_p > WHITENESS_ALPHA
+        admissible = fit.converged and whiteness_p > WHITENESS_ALPHA
         trace.append(CandidateRecord(fit, bic, whiteness_p, admissible))
 
     ranked = tuple(sorted(trace, key=lambda rec: rec.bic))

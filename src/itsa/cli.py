@@ -121,10 +121,10 @@ def _number(value: float) -> float | None:
 
 
 def _csv(weeks, columns: dict) -> str:
-    """CSV text: a week column, then each column at .6g, with None or NaN as a blank cell."""
+    """CSV text: a week column, then each column at .6g, with NaN as a blank cell."""
     lines = [",".join(["week", *columns])]
     for week, *row in zip(weeks, *columns.values()):
-        cells = ["" if v is None or math.isnan(v) else f"{v:.6g}" for v in row]
+        cells = ["" if math.isnan(v) else f"{v:.6g}" for v in row]
         lines.append(",".join([str(int(week)), *cells]))
     return "\n".join(lines) + "\n"
 
@@ -174,7 +174,7 @@ def _cmd_fit(args) -> tuple[dict, str]:
 def _cmd_diagnose(args) -> tuple[dict, str]:
     design = _build_case_design(args)
     fit = ols_mod.fit_ols(design)
-    if ols_mod.is_exact_fit(fit.rss, design.outcome, fit.n):
+    if fit.deviance == -math.inf:
         raise ItsaError("the fit is exact (RSS = 0 to the rounding of y), so its residuals are "
                         "rounding error and there is nothing to diagnose")
     d = diag_mod.durbin_watson(fit.residuals)
@@ -225,7 +225,7 @@ def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.De
 def _arx_json(fit: arx_mod.ArxFit) -> dict:
     return {"order": fit.order, "phi": list(fit.phi), "beta": dict(fit.coefficients),
             "se": {name: _number(se) for name, se in fit.standard_errors.items()},
-            "sigma2": fit.sigma2, "deviance": fit.deviance, "n_effective": fit.n_effective,
+            "sigma2": fit.sigma2, "deviance": fit.deviance, "n_effective": fit.n - fit.conditioning,
             "converged": fit.converged}
 
 
@@ -258,7 +258,7 @@ def _cmd_arx(args) -> tuple[dict, str]:
         )
     payload["selection_trace"] = [
         {"label": rec.fit.label, "deviance": rec.fit.deviance, "bic": rec.bic,
-         "whiteness_p": rec.whiteness_p, "admissible": rec.admissible}
+         "whiteness_p": _number(rec.whiteness_p), "admissible": rec.admissible}
         for rec in selection.trace
     ]
     return payload, "\n".join(lines) + "\n"
@@ -267,8 +267,8 @@ def _cmd_arx(args) -> tuple[dict, str]:
 def _effect_json(e: effect_mod.EffectEstimate) -> dict:
     return {"week": e.week, "observed": e.observed, "fitted": e.fitted,
             "counterfactual": e.counterfactual, "absolute_change": e.absolute_change,
-            "relative_change": e.relative_change, "ci_level": e.ci_level,
-            "ci": [e.ci_lower, e.ci_upper], "method": e.method}
+            "relative_change": _number(e.relative_change), "ci_level": e.ci_level,
+            "ci": [_number(e.ci_lower), _number(e.ci_upper)], "method": e.method}
 
 
 def _cmd_effect(args) -> tuple[dict | None, str]:
@@ -276,9 +276,9 @@ def _cmd_effect(args) -> tuple[dict | None, str]:
     fit = ols_mod.fit_ols(design)
     if args.week is not None:
         estimate = effect_mod.effect_at(fit, design, args.week, args.ci_level)
-        rel = ("undefined" if estimate.relative_change is None
+        rel = ("undefined" if math.isnan(estimate.relative_change)
                else f"{estimate.relative_change:.1f}%")
-        ci = ("" if estimate.ci_lower is None
+        ci = ("" if math.isnan(estimate.ci_lower)
               else f"  {args.ci_level * 100:g}% CI "
                    f"({estimate.ci_lower:.1f}%, {estimate.ci_upper:.1f}%)")
         return _effect_json(estimate), (
@@ -294,12 +294,12 @@ def _cmd_effect(args) -> tuple[dict | None, str]:
         names = ("observed", "fitted", "counterfactual", "absolute_change", "relative_change")
         return None, _csv([e.week for e in series.estimates],
                           {name: [getattr(e, name) for e in series.estimates] for name in names})
-    mean_rel = ("undefined" if series.mean_relative_change is None
+    mean_rel = ("undefined" if math.isnan(series.mean_relative_change)
                 else f"{series.mean_relative_change:.1f}%")
     stab = ("not reached" if series.weeks_to_stabilization is None
             else f"week {series.stabilization_week} ({series.weeks_to_stabilization} weeks in)")
     payload = {"estimates": [_effect_json(e) for e in series.estimates],
-               "mean_relative_change": series.mean_relative_change,
+               "mean_relative_change": _number(series.mean_relative_change),
                "stabilization_week": series.stabilization_week,
                "weeks_to_stabilization": series.weeks_to_stabilization}
     return payload, (f"post-intervention weeks: {len(series.estimates)}\n"

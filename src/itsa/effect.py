@@ -34,10 +34,10 @@ class EffectEstimate:
     fitted: float
     counterfactual: float
     absolute_change: float
-    relative_change: float | None  # percent; None when the counterfactual is <= 0
+    relative_change: float  # percent; NaN when the counterfactual is <= 0
     ci_level: float
-    ci_lower: float | None
-    ci_upper: float | None
+    ci_lower: float  # NaN where the relative change is
+    ci_upper: float
     method: str
 
 
@@ -46,7 +46,7 @@ class EffectSeries:
     """Per-week post-intervention effects plus summary measures."""
 
     estimates: tuple[EffectEstimate, ...]
-    mean_relative_change: float | None
+    mean_relative_change: float  # NaN when no post week has a relative change
     stabilization_week: int | None  # first week from which the rolling mean stays put
     weeks_to_stabilization: int | None
 
@@ -67,10 +67,6 @@ def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
         raise DesignError("design has no intervention columns")
     beta, _, _, model, intervention = _model_matrices(fit, design)
     return linear_predictor(np.where(intervention, 0.0, model), beta)
-
-
-def _nan_to_none(column: np.ndarray) -> list:
-    return [None if math.isnan(v) else v for v in column.tolist()]
 
 
 def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[EffectEstimate, ...]:
@@ -109,9 +105,8 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
         EffectEstimate(week, obs, fit_value, cf_value, change, rel, ci_level, lower, upper, tag)
         for week, obs, fit_value, cf_value, change, rel, lower, upper, tag in zip(
             design.weeks[rows].astype(int).tolist(), design.outcome[rows].tolist(),
-            fitted.tolist(), cf.tolist(), absolute.tolist(), _nan_to_none(relative),
-            _nan_to_none(relative - half_width), _nan_to_none(relative + half_width),
-            tags.tolist(),
+            fitted.tolist(), cf.tolist(), absolute.tolist(), relative.tolist(),
+            (relative - half_width).tolist(), (relative + half_width).tolist(), tags.tolist(),
         )
     )
 
@@ -138,11 +133,11 @@ def effect_series(fit, design: DesignMatrix, ci_level: float = 0.95) -> EffectSe
     post_rows = np.flatnonzero(design.weeks >= design.changepoint)
     estimates = _estimates(fit, design, post_rows, ci_level)
     relatives = [e.relative_change for e in estimates]
-    defined = [r for r in relatives if r is not None]
-    mean_rel = sum(defined) / len(defined) if defined else None
+    defined = [r for r in relatives if not math.isnan(r)]
+    mean_rel = sum(defined) / len(defined) if defined else math.nan
 
     stabilization_week = None
-    if None not in relatives and len(relatives) >= 2 * STABILIZATION_WINDOW - 1:
+    if len(defined) == len(relatives) >= 2 * STABILIZATION_WINDOW - 1:
         window = np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW
         rolling = np.convolve(relatives, window, "valid")
         # max and min of every tail rolling[i:], as running extremes from the end

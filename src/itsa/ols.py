@@ -29,7 +29,7 @@ TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit: point estimates, inference, and likelihood summaries."""
+    """Least-squares fit: point estimates, inference, and the deviance."""
 
     coefficients: dict[str, float]
     standard_errors: dict[str, float]
@@ -38,10 +38,7 @@ class OlsFit:
     residuals: np.ndarray
     fitted: np.ndarray
     rss: float
-    sigma2_unbiased: float
-    sigma2_mle: float
-    log_likelihood: float
-    deviance: float
+    deviance: float  # -2 x Gaussian log-likelihood at the MLE variance RSS/n; -inf for an exact fit
     n: int
     k: int
     column_names: tuple[str, ...]
@@ -73,18 +70,15 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     residuals = y - fitted
     rss = float(residuals @ residuals)
     df = n - k
-    sigma2_unbiased = rss / df
-    sigma2_mle = rss / n
-
-    covariance = sigma2_unbiased * (r_inv @ r_inv.T)  # (X'X)^-1 = R^-1 R^-T
+    covariance = rss / df * (r_inv @ r_inv.T)  # unbiased sigma2 (X'X)^-1; (X'X)^-1 = R^-1 R^-T
 
     se = np.sqrt(np.diag(covariance))
     if is_exact_fit(rss, y, n):  # se is rounding error, so t and p are undefined
         t_stats = np.full(k, math.nan)
-        log_likelihood = math.inf  # unbounded; gaussian_deviance refuses it
+        deviance = -math.inf  # the likelihood is unbounded; gaussian_deviance refuses it
     else:
         t_stats = beta / se
-        log_likelihood = -0.5 * n * (math.log(2.0 * math.pi * sigma2_mle) + 1.0)
+        deviance = n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
 
     names = design.column_names
     return OlsFit(
@@ -95,10 +89,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         residuals=residuals,
         fitted=fitted,
         rss=rss,
-        sigma2_unbiased=sigma2_unbiased,
-        sigma2_mle=sigma2_mle,
-        log_likelihood=log_likelihood,
-        deviance=-2.0 * log_likelihood,
+        deviance=deviance,
         n=n,
         k=k,
         column_names=names,
@@ -146,7 +137,7 @@ def is_exact_fit(rss: float, y: np.ndarray, rows: int) -> bool:
 
 def gaussian_deviance(fit: OlsFit) -> float:
     """-2 x Gaussian log-likelihood at the MLE plug-in variance RSS/n."""
-    if fit.log_likelihood == math.inf:
+    if fit.deviance == -math.inf:
         raise FitError("deviance is unbounded for an exact fit (RSS = 0 to the rounding of y)")
     return fit.deviance
 

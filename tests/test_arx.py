@@ -145,7 +145,7 @@ class TestFitArx:
             assert arx.coefficients[name] == pytest.approx(ols.coefficients[name], abs=1e-8)
         assert np.allclose(arx.residuals, ols.residuals, atol=1e-8)
         assert arx.deviance == pytest.approx(
-            ols.n * (math.log(2 * math.pi * ols.sigma2_mle) + 1), abs=1e-6
+            ols.n * (math.log(2 * math.pi * ols.rss / ols.n) + 1), abs=1e-6
         )
 
     def test_recovers_simulated_arx1_within_3_se(self, rng):
@@ -165,7 +165,7 @@ class TestFitArx:
         assert baseline_fit.sigma2 == pytest.approx(
             float(np.mean(baseline_fit.residuals**2)), abs=1e-10
         )
-        ne = baseline_fit.n_effective
+        ne = baseline_fit.n - baseline_fit.conditioning
         assert baseline_fit.deviance == pytest.approx(
             ne * (math.log(2 * math.pi * baseline_fit.sigma2) + 1), abs=1e-8
         )
@@ -188,7 +188,7 @@ class TestFitArx:
     def test_too_few_observations(self, rng):
         x = np.column_stack([np.ones(6), rng.normal(size=6)])
         design = make_design(x, rng.normal(size=6), ["intercept", "a"])
-        with pytest.raises(FitError, match="need n >"):
+        with pytest.raises(FitError, match=r"^ARX\(2\) intercept\+a needs n > 2\(p \+ k\)"):
             fit_arx(design, ArxSpec(2, ("intercept", "a")))
 
     @pytest.mark.parametrize(
@@ -624,8 +624,9 @@ class TestSelectBaseline:
     def test_orders_without_whiteness_lags_are_inadmissible(self, occupancy_design):
         result = select_baseline(occupancy_design, 10, [("intercept", "occupancy")])
         for record in result.trace:
-            assert (record.whiteness_p is None) == (record.fit.order >= WHITENESS_LAGS)
-            if record.whiteness_p is None:
+            assert type(record.whiteness_p) is float
+            assert math.isnan(record.whiteness_p) == (record.fit.order >= WHITENESS_LAGS)
+            if math.isnan(record.whiteness_p):
                 assert not record.admissible
 
     def test_negative_max_order(self, occupancy_design):

@@ -291,6 +291,12 @@ class TestArxCommand:
         assert ("22 weeks with maximum order 3 leave 19 weeks of residuals; "
                 "the 10-lag whiteness check needs more than 20") in capsys.readouterr().err
 
+    def test_order_too_large_for_the_series_names_the_model(self, capsys):
+        code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--arx-max-order", "60"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ARX(56) intercept needs n > 2(p + k) observations: n=114, p=56, k=1\n")
+
 
 class TestEffectCommand:
     def test_single_week(self):

@@ -160,8 +160,8 @@ class TestEffectAt:
         fit = fit_ols(design)
         est = effect_at(fit, design, 40)
         assert est.counterfactual < 0
-        assert est.relative_change is None
-        assert est.ci_lower is None and est.ci_upper is None
+        undefined = (est.relative_change, est.ci_lower, est.ci_upper)
+        assert all(type(v) is float and math.isnan(v) for v in undefined)
         assert est.method.endswith("relative-undefined")
 
     def test_week_outside_range(self, reduced_case_study):
@@ -235,7 +235,8 @@ class TestEffectSeries:
         )
         series = effect_series(fit, pre)
         assert series.estimates == ()
-        assert series.mean_relative_change is None
+        assert type(series.mean_relative_change) is float
+        assert math.isnan(series.mean_relative_change)
         assert series.stabilization_week is None
 
     def test_constant_effect_stabilizes_immediately(self, rng):
@@ -249,14 +250,18 @@ class TestEffectSeries:
 
 
 class TestSingleEffectPath:
-    """effect_series and effect_at must agree exactly, week by week."""
+    """effect_series and effect_at must agree exactly, week by week.
+
+    Records are compared by repr, which writes every float so that it reads
+    back bit for bit, and under which an undefined NaN field equals another.
+    """
 
     @staticmethod
     def assert_series_matches_single_weeks(fit, design):
         series = effect_series(fit, design)
         assert series.estimates
         for est in series.estimates:
-            assert est == effect_at(fit, design, est.week)
+            assert repr(est) == repr(effect_at(fit, design, est.week))
 
     def test_ols_case_study(self, full_design, full_fit):
         self.assert_series_matches_single_weeks(full_fit, full_design)
@@ -281,9 +286,11 @@ class TestSingleEffectPath:
         for e in series.estimates:
             assert (e.counterfactual > 0) == (e.method == "ols:delta")
             assert e.absolute_change == pytest.approx(e.fitted - e.counterfactual, abs=1e-9)
+            undefined = (e.relative_change, e.ci_lower, e.ci_upper)
+            assert all(type(v) is float for v in undefined)
             if e.method == "ols:relative-undefined":
-                assert e.relative_change is None and e.ci_lower is None and e.ci_upper is None
-        defined = [e.relative_change for e in series.estimates if e.relative_change is not None]
+                assert all(math.isnan(v) for v in undefined)
+        defined = [e.relative_change for e in series.estimates if not math.isnan(e.relative_change)]
         assert series.mean_relative_change == pytest.approx(sum(defined) / len(defined))
         assert series.stabilization_week is None
 
@@ -292,7 +299,7 @@ class TestPerWeekReference:
     """The columnar estimates equal a per-week computation that branches on the week's case.
 
     The reference takes dot products, where the estimates sum elementwise
-    products, so floats agree to 1e-12 rather than bit for bit; None and
+    products, so floats agree to 1e-12 rather than bit for bit; NaN and
     the method tags must match exactly.
     """
 
@@ -312,8 +319,8 @@ class TestPerWeekReference:
             return dict(common, absolute_change=0.0, relative_change=0.0,
                         ci_lower=0.0, ci_upper=0.0, method=method)
         if cf <= 0:
-            return dict(common, absolute_change=absolute, relative_change=None,
-                        ci_lower=None, ci_upper=None, method=method + ":relative-undefined")
+            return dict(common, absolute_change=absolute, relative_change=math.nan,
+                        ci_lower=math.nan, ci_upper=math.nan, method=method + ":relative-undefined")
         gradient = 100.0 * ((x - c) * cf - absolute * c) / cf**2
         half_width = norm.ppf(0.5 + ci_level / 2.0) * math.sqrt(gradient @ cov @ gradient)
         relative = 100.0 * absolute / cf
@@ -324,10 +331,11 @@ class TestPerWeekReference:
     def assert_every_week_matches(self, fit, design, ci_level):
         series = effect_series(fit, design, ci_level)
         singles = [effect_at(fit, design, week, ci_level) for week in design.weeks]
-        assert series.estimates == tuple(singles[-len(series.estimates):])
+        assert repr(series.estimates) == repr(tuple(singles[-len(series.estimates):]))
         for est in singles:
             expected = self.reference(fit, design, est.week, ci_level)
-            assert dataclasses.asdict(est) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert dataclasses.asdict(est) == pytest.approx(expected, rel=1e-12, abs=1e-12,
+                                                            nan_ok=True)
 
     @pytest.mark.parametrize("ci_level", [0.95, 0.57])
     def test_ols_case_study(self, full_design, full_fit, ci_level):
@@ -355,7 +363,7 @@ class TestStabilizationScan:
     def direct_scan(series):
         """The first week whose tail of rolling means, at least a window long, spans under the band."""
         rel = [e.relative_change for e in series.estimates]
-        if None in rel or len(rel) < STABILIZATION_WINDOW:
+        if any(math.isnan(r) for r in rel) or len(rel) < STABILIZATION_WINDOW:
             return None
         rolling = np.convolve(rel, np.ones(STABILIZATION_WINDOW) / STABILIZATION_WINDOW, "valid")
         for i in range(len(rolling) - STABILIZATION_WINDOW + 1):
@@ -391,5 +399,5 @@ class TestStabilizationScan:
         y = 40.0 - 0.4 * after + 0.01 * rng.normal(size=n)  # relative change about -after %
         design = step_design(y, changepoint, extra=after, extra_names=("time_after",))
         series = effect_series(fit_ols(design), design)
-        assert None not in [e.relative_change for e in series.estimates]
+        assert not any(math.isnan(e.relative_change) for e in series.estimates)
         assert series.stabilization_week is None

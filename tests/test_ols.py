@@ -87,8 +87,10 @@ class TestFitOls:
                 full_fit.coefficients[name] / full_fit.standard_errors[name], abs=1e-9
             )
 
-    def test_deviance_is_minus_twice_loglik(self, full_fit):
-        assert full_fit.deviance == pytest.approx(-2 * full_fit.log_likelihood, abs=1e-9)
+    def test_deviance_is_the_gaussian_formula(self, full_fit):
+        n = full_fit.n
+        assert full_fit.deviance == pytest.approx(
+            n * (math.log(2 * math.pi * full_fit.rss / n) + 1), rel=1e-12)
 
     def test_residual_orthogonality(self, full_design, full_fit):
         projections = full_design.matrix.T @ full_fit.residuals
