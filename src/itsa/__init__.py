@@ -11,7 +11,6 @@ from .arx import (
     ArxSpec,
     LrtResult,
     SelectionResult,
-    arx_deviance,
     fit_arx,
     likelihood_ratio_test,
     predict_arx,
@@ -41,7 +40,7 @@ from .diagnostics import (
 )
 from .effect import EffectEstimate, EffectSeries, counterfactual_series, effect_at, effect_series
 from .errors import DataError, DesignError, FitError, ItsaError
-from .ols import OlsFit, fit_ols, gaussian_deviance, predict
+from .ols import OlsFit, fit_ols, gaussian_deviance
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,6 @@ __all__ = [
     "SelectionResult",
     "TimeSeriesDataset",
     "acf",
-    "arx_deviance",
     "build_design",
     "counterfactual_series",
     "durbin_watson",
@@ -79,7 +77,6 @@ __all__ = [
     "ljung_box",
     "load_case_study",
     "parse_csv",
-    "predict",
     "predict_arx",
     "recode_time",
     "select_baseline",

@@ -343,16 +343,6 @@ def _stationary(phi: np.ndarray) -> np.ndarray:
     return np.all(np.abs(np.linalg.eigvals(companion)) < 1.0 / (1.0 + 1e-8), axis=1)
 
 
-def arx_deviance(fit: ArxFit) -> float:
-    """-2 x conditional log-likelihood at the optimum."""
-    if not fit.converged:
-        raise FitError(
-            f"fit did not converge (relative Gauss-Newton offset above "
-            f"{OFFSET_TOLERANCE:g}); deviance would be unreliable"
-        )
-    return fit.deviance
-
-
 def predict_arx(fit: ArxFit) -> np.ndarray:
     """The fit's one-step-ahead in-sample predictions over all n weeks.
 
@@ -417,10 +407,10 @@ def select_baseline(
 
 def likelihood_ratio_test(baseline: ArxFit, full: ArxFit) -> LrtResult:
     """Deviance-difference test of nested ARX fits against chi-square at level LRT_ALPHA."""
-    if not baseline.converged:
-        raise FitError("baseline fit did not converge")
-    if not full.converged:
-        raise FitError("full fit did not converge")
+    for role, fit in (("baseline", baseline), ("full", full)):
+        if not fit.converged:
+            raise FitError(f"{role} fit did not converge (relative Gauss-Newton offset above "
+                           f"{OFFSET_TOLERANCE:g}); its deviance would be unreliable")
     if not set(baseline.exogenous_columns) <= set(full.exogenous_columns):
         raise FitError(
             "models are not nested: baseline columns "

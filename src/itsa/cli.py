@@ -112,7 +112,7 @@ def _build_case_design(args: argparse.Namespace) -> design_mod.DesignMatrix:
 
 
 def _fmt(value: float, precision: int = COEF_PRECISION) -> str:
-    return f"{value:.{precision}f}"
+    return f"{value:.{precision}f}" if math.isfinite(value) else "undefined"
 
 
 def _number(value: float) -> float | None:
@@ -164,7 +164,7 @@ def _cmd_fit(args) -> tuple[dict, str]:
                           fit.t_stats[name], fit.p_values[name])
         terms[name] = {"estimate": coef, "se": se, "t": _number(t), "p": _number(p)}
         lines.append(f"{name:<16}{_fmt(coef):>12}{_fmt(se):>12}{_fmt(t):>10}"
-                     f"{_fmt(p, P_PRECISION):>9}")
+                     f" {_fmt(p, P_PRECISION):>8}")
     lines.append(f"n={fit.n}  k={fit.k}  rss={_fmt(fit.rss)}  deviance={_fmt(fit.deviance)}")
     payload = {"coefficients": terms, "rss": fit.rss, "deviance": _number(fit.deviance),
                "n": fit.n, "k": fit.k}
@@ -312,7 +312,7 @@ def _cmd_export(args) -> tuple[None, str]:
     fit = ols_mod.fit_ols(design)
     columns = {
         "observed": design.outcome,
-        "fitted": ols_mod.predict(fit, design),
+        "fitted": fit.fitted,
         "counterfactual": effect_mod.counterfactual_series(fit, design),
     }
     if args.arx:

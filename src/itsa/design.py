@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import TimeSeriesDataset
+from .dataset import DERIVED_COLUMNS, TimeSeriesDataset
 from .errors import DesignError
 
 INTERCEPT = "intercept"
@@ -98,9 +98,10 @@ def build_design(
     Column order is fixed: intercept, time, intervention, time_after,
     then confounders in the order given. The time column is the raw
     week index (see `recode_time` for other origins); the
-    post-intervention counter is 1 at the change-point week itself
-    (matching the analysis-ready coding of the packaged case study) and
-    increments weekly.
+    post-intervention counter is 1 at the change-point week itself and
+    increments weekly. The three segment columns are the
+    `dataset.DERIVED_COLUMNS` codings, which `parse_csv` checks an
+    analysis-ready file against.
     """
     for i, name in enumerate(confounders):
         if name not in dataset.covariate_names:
@@ -115,9 +116,9 @@ def build_design(
         raise DesignError(
             f"effective changepoint {changepoint} is before the first week {dataset.weeks[0]}"
         )
-    indicator = (weeks >= changepoint).astype(float)
-    time_after = np.where(indicator > 0, weeks - changepoint + 1, 0.0)
-    columns = [np.ones(len(weeks)), weeks, indicator, time_after]
+    columns = [np.ones(len(weeks))]
+    columns += [DERIVED_COLUMNS[name](weeks, changepoint)
+                for name in ("baseline trend", "level change", "trend change")]
     columns += [dataset.covariate(name) for name in confounders]
     return DesignMatrix(
         matrix=np.column_stack(columns),

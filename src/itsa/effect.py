@@ -52,19 +52,23 @@ class EffectSeries:
 
 
 def _model_matrices(fit, design: DesignMatrix):
-    """Coefficients, covariance, method tag, model matrix, and its intervention-column mask."""
+    """Coefficients, covariance, method tag, model matrix, and its intervention-column mask.
+
+    An effect is what the fit's intervention terms add, so a fit with none is refused.
+    """
     names = tuple(fit.coefficients)  # OLS and ARX fits alike: covariance has this block first
     k = len(names)
     intervention_columns = design.intervention_columns
     intervention = np.array([name in intervention_columns for name in names])
+    if not intervention.any():
+        raise DesignError(f"an effect needs a fit with an intervention term, but none of its "
+                          f"coefficients {list(names)} is an intervention column of the design")
     method = "ols" if isinstance(fit, OlsFit) else "arx"
     return fit.beta, fit.covariance[:k, :k], method, design.columns(names), intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     """Linear predictions with the intervention columns zeroed everywhere."""
-    if not design.intervention_columns:
-        raise DesignError("design has no intervention columns")
     beta, _, _, model, intervention = _model_matrices(fit, design)
     return linear_predictor(np.where(intervention, 0.0, model), beta)
 

@@ -145,11 +145,3 @@ def gaussian_deviance(fit: OlsFit) -> float:
 def linear_predictor(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """X @ beta as each row's sum of elementwise products: unlike BLAS, no row depends on the others."""
     return np.sum(matrix * beta, axis=1)
-
-
-def predict(fit: OlsFit, design: DesignMatrix) -> np.ndarray:
-    """Row-wise linear predictions X @ beta; columns must match the fit."""
-    if design.column_names != fit.column_names:
-        raise FitError(f"design columns {list(design.column_names)} do not match "
-                       f"fit columns {list(fit.column_names)}")
-    return linear_predictor(design.matrix, fit.beta)

@@ -12,7 +12,6 @@ from itsa.arx import (
     ArxSpec,
     _fit_stack,
     _stationary,
-    arx_deviance,
     fit_arx,
     likelihood_ratio_test,
     predict_arx,
@@ -265,11 +264,11 @@ class TestFitArx:
 class TestCaseStudyArx:
     def test_baseline_deviance(self, baseline_fit):
         assert baseline_fit.converged
-        assert arx_deviance(baseline_fit) == pytest.approx(847.31, abs=0.5)
+        assert baseline_fit.deviance == pytest.approx(847.31, abs=0.5)
 
     def test_full_model_deviance(self, full_arx_fit):
         assert full_arx_fit.converged
-        assert arx_deviance(full_arx_fit) == pytest.approx(835.15, abs=0.5)
+        assert full_arx_fit.deviance == pytest.approx(835.15, abs=0.5)
 
     def test_full_model_coefficients(self, full_arx_fit):
         assert full_arx_fit.coefficients["intercept"] == pytest.approx(-55.48, abs=0.5)
@@ -691,15 +690,15 @@ class TestLikelihoodRatioTest:
 
     def test_unconverged_fit_rejected(self, baseline_fit, full_arx_fit):
         stale = dataclasses.replace(baseline_fit, converged=False)
-        with pytest.raises(FitError, match="converge"):
+        with pytest.raises(FitError, match="baseline fit did not converge"):
             likelihood_ratio_test(stale, full_arx_fit)
-        with pytest.raises(FitError, match="converge"):
-            arx_deviance(stale)
+        with pytest.raises(FitError, match="full fit did not converge"):
+            likelihood_ratio_test(baseline_fit, dataclasses.replace(full_arx_fit, converged=False))
 
-    def test_unconverged_deviance_names_the_offset_test(self, baseline_fit):
+    def test_unconverged_deviance_names_the_offset_test(self, baseline_fit, full_arx_fit):
         stale = dataclasses.replace(baseline_fit, converged=False)
         with pytest.raises(FitError, match=r"relative Gauss-Newton offset above 1e-06\)"):
-            arx_deviance(stale)
+            likelihood_ratio_test(stale, full_arx_fit)
 
     def test_null_statistic_distribution(self, rng):
         """Under the null, the statistic for one spurious column is ~chi-square(1)."""

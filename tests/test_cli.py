@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from itsa import InterventionSpec, build_design, load_case_study, select_baseline
-from itsa.cli import _candidate_sets, run
+from itsa.cli import _candidate_sets, _fmt, run
 
 CASE_STUDY_FLAGS = ["--builtin-case-study", "--intervention-week", "53"]
 UNKNOWN_KEY = {"confounder": "occupancy"}
@@ -179,6 +179,27 @@ class TestFitCommand:
         code, text = invoke(["effect", *flags])
         assert code == 0
         strict_json(text)
+
+    def test_exact_fit_table_writes_undefined(self, tmp_path):
+        """The t, p and deviance of an exact fit are undefined, and so is each of their cells."""
+        path = tmp_path / "line.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{3 + 0.5 * w}\n" for w in range(1, 61)))
+        code, text = invoke(["fit", "--data", str(path), "--intervention-week", "31"])
+        assert code == 0
+        assert text == (
+            "term                    coef          se         t        p\n"
+            "-----------------------------------------------------------\n"
+            "intercept             3.0000      0.0000 undefined undefined\n"
+            "time                  0.5000      0.0000 undefined undefined\n"
+            "intervention          0.0000      0.0000 undefined undefined\n"
+            "time_after            0.0000      0.0000 undefined undefined\n"
+            "n=60  k=4  rss=0.0000  deviance=undefined\n"
+        )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_undefined_number_cell(self, value):
+        """Every table cell goes through `_fmt`, an ARX standard error's too."""
+        assert _fmt(value) == _fmt(value, 3) == "undefined"
 
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
@@ -536,6 +557,16 @@ class TestConfigAndUsage:
             run([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["data", "validate", "--builtin-case-study", "--intervention-week", "0"],
+         "intervention week must be >= 1, got 0"),
+        (["fit", *CASE_STUDY_FLAGS, "--lag", "-1"], "lag must be non-negative, got -1"),
+    ], ids=["intervention-week", "lag"])
+    def test_out_of_range_week_setting_exits_1(self, argv, message, capsys):
+        code, _ = invoke(argv)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_invalid_ci_level_exits_1(self, capsys):
         code, _ = invoke(["effect", *CASE_STUDY_FLAGS, "--ci-level", "1.5"])
         assert code == 1
@@ -589,6 +620,9 @@ def test_python_m_entry_point(tmp_path):
 
     fit = python_m_itsa("fit", *CASE_STUDY_FLAGS)
     assert (fit.returncode, fit.stdout) == invoke(["fit", *CASE_STUDY_FLAGS])
+    assert python_m_itsa("data", "validate", "--builtin-case-study").returncode == 0
+    assert python_m_itsa("data", "validate", "--data", str(tmp_path / "none.csv")).returncode == 1
+    assert python_m_itsa("fit", *CASE_STUDY_FLAGS, "--no-such-flag").returncode == 2
     assert python_m_itsa().returncode == 2
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps({"builtin_case_study": True, "intervention_week": 53,

@@ -52,6 +52,13 @@ class TestParseCsv:
         with pytest.raises(DataError, match="empty input"):
             parse_csv("week,y\n")
 
+    def test_blank_lines_are_skipped(self):
+        assert parse_csv("week,y\n1,1\n\n2,2\n , \n3,3\n") == parse_csv("week,y\n1,1\n2,2\n3,3\n")
+
+    def test_ragged_row(self):
+        with pytest.raises(DataError, match="row 3: expected 2 cells, got 3"):
+            parse_csv("week,y\n1,1\n2,2,2\n3,3\n")
+
     def test_non_numeric_cell_reports_position(self):
         with pytest.raises(DataError, match=r"row 3.*'y'"):
             parse_csv("week,y\n1,1\n2,oops\n3,3\n")

@@ -16,7 +16,7 @@ from itsa.effect import (
     effect_series,
 )
 from itsa.errors import DesignError, FitError
-from itsa.ols import OlsFit, fit_ols, predict
+from itsa.ols import OlsFit, fit_ols
 
 
 def step_design(y, changepoint, extra=None, extra_names=()):
@@ -81,9 +81,7 @@ class TestCounterfactualSeries:
             post = np.flatnonzero(design.weeks >= design.changepoint)
             assert counterfactual_series(fit, design)[post].tolist() == [
                 e.counterfactual for e in series.estimates]
-            fitted = [e.fitted for e in series.estimates]
-            assert predict(fit, design)[post].tolist() == fitted
-            assert fit.fitted[post].tolist() == fitted
+            assert fit.fitted[post].tolist() == [e.fitted for e in series.estimates]
 
     def test_requires_declared_intervention_columns(self, rng):
         y = rng.normal(size=30)
@@ -94,8 +92,36 @@ class TestCounterfactualSeries:
             weeks=np.arange(1, 31, dtype=float),
             changepoint=15,
         )
-        with pytest.raises(DesignError, match="intervention columns"):
+        with pytest.raises(DesignError, match="needs a fit with an intervention term"):
             counterfactual_series(fit_ols(design), design)
+
+
+class TestFitWithoutInterventionTerm:
+    """An effect is what the fit's intervention terms add, so a fit with none is refused.
+
+    Every entry point refuses it, rather than report a 0.0% effect at every post week.
+    """
+
+    @pytest.fixture(scope="class", params=["no-intervention-columns", "arx-baseline"])
+    def fit_and_design(self, request, full_design):
+        if request.param == "no-intervention-columns":
+            design = full_design.subset(["intercept", "time", "occupancy"])
+            return fit_ols(design), design
+        candidates = [("intercept",), ("intercept", "occupancy"),
+                      ("intercept", "admissions", "discharges", "occupancy")]
+        baseline = itsa.select_baseline(full_design, 3, candidates).best
+        assert not set(baseline.coefficients) & set(full_design.intervention_columns)
+        return baseline, full_design
+
+    @pytest.mark.parametrize("entry_point", [
+        lambda fit, design: effect_at(fit, design, 60),
+        effect_series,
+        counterfactual_series,
+    ], ids=["effect_at", "effect_series", "counterfactual_series"])
+    def test_refused(self, fit_and_design, entry_point):
+        fit, design = fit_and_design
+        with pytest.raises(DesignError, match="needs a fit with an intervention term"):
+            entry_point(fit, design)
 
 
 class TestEffectAt:

@@ -9,7 +9,7 @@ import pytest
 
 import itsa
 from itsa.errors import FitError
-from itsa.ols import fit_ols, gaussian_deviance, predict
+from itsa.ols import fit_ols, gaussian_deviance
 
 from conftest import make_design
 
@@ -169,21 +169,11 @@ class TestGaussianDeviance:
 
 
 class TestPredict:
-    def test_training_design_returns_fitted(self, full_design, full_fit):
-        values = predict(full_fit, full_design)
-        assert np.array_equal(values, full_fit.fitted)
-        assert np.allclose(full_design.outcome - values, full_fit.residuals)
-
-    def test_column_mismatch(self, full_design, full_fit):
-        reduced = full_design.subset(["intercept", "time"])
-        with pytest.raises(FitError, match="do not match"):
-            predict(full_fit, reduced)
-
     def test_case_study_week_54_near_narrative_value(self, case_study):
         # plain segmented design, no confounders
         design = itsa.build_design(case_study, itsa.InterventionSpec(53), [])
         fit = fit_ols(design)
-        week54 = predict(fit, design)[53]
+        week54 = fit.fitted[53]
         assert week54 == pytest.approx(11, abs=1.5)
 
 
