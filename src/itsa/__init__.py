@@ -12,6 +12,7 @@ from .arx import (
     LrtResult,
     SelectionResult,
     fit_arx,
+    fit_nested,
     likelihood_ratio_test,
     predict_arx,
     select_baseline,
@@ -71,6 +72,7 @@ __all__ = [
     "effect_at",
     "effect_series",
     "fit_arx",
+    "fit_nested",
     "fit_ols",
     "gaussian_deviance",
     "likelihood_ratio_test",

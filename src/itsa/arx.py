@@ -130,6 +130,16 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     return _fit_stack(design, [spec], spec.order if conditioning is None else conditioning)[0]
 
 
+def fit_nested(design: DesignMatrix, fit: ArxFit, columns: tuple[str, ...]) -> list[ArxFit]:
+    """`fit`'s order and columns with columns[:1], columns[:2], ... added, as one stack on its rows.
+
+    Each member is the fit `fit_arx(design, spec, conditioning=fit.conditioning)` gives alone, up to
+    rounding, and is nested in the one before it (`fit` first), as `likelihood_ratio_test` requires.
+    """
+    specs = [ArxSpec(fit.order, fit.exogenous_columns + columns[:i]) for i in range(1, len(columns) + 1)]
+    return _fit_stack(design, specs, fit.conditioning)
+
+
 def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[ArxFit]:
     """Fit every spec on the rows after the first `cond` as one stacked Newton iteration.
 
@@ -140,8 +150,10 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     the member's own R and Q'e, with an identity on the absent block: steps
     and gradients are exactly zero there. Each member keeps its own step
     halving, iteration count and stopping test, and leaves the stack when it
-    stops.
+    stops. No specs give no fits.
     """
+    if not specs:
+        return []
     y = design.outcome
     n = len(y)
     m = len(specs)
@@ -385,7 +397,7 @@ def select_baseline(
     specs = [ArxSpec(order, tuple(columns))
              for columns in candidate_exogenous for order in range(max_order + 1)]
     trace: list[CandidateRecord] = []
-    for fit in _fit_stack(design, specs, max_order) if specs else []:
+    for fit in _fit_stack(design, specs, max_order):
         bic = fit.deviance + fit.param_count * math.log(n_common)
         whiteness_p = math.nan
         if WHITENESS_LAGS > fit.order:

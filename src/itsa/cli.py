@@ -150,7 +150,8 @@ def _cmd_summary(args) -> tuple[dict, str]:
                      ("after", s.n_after)):
         seg = {stat: getattr(s, f"{label}_{stat}") for stat in ("mean", "min", "max")}
         payload[label] = seg if label == "overall" else {**seg, "n": n}
-        lines.append(f"{label:<10}{n:>5}{seg['mean']:>10.2f}{seg['min']:>8.1f}{seg['max']:>8.1f}")
+        lines.append(f"{label:<10}{' ' + str(n):>5}{' ' + format(seg['mean'], '.2f'):>10}"
+                     f"{' ' + format(seg['min'], '.1f'):>8}{' ' + format(seg['max'], '.1f'):>8}")
     return payload, "\n".join(lines) + "\n"
 
 
@@ -163,8 +164,8 @@ def _cmd_fit(args) -> tuple[dict, str]:
         coef, se, t, p = (fit.coefficients[name], fit.standard_errors[name],
                           fit.t_stats[name], fit.p_values[name])
         terms[name] = {"estimate": coef, "se": se, "t": _number(t), "p": _number(p)}
-        lines.append(f"{name:<16}{_fmt(coef):>12}{_fmt(se):>12}{_fmt(t):>10}"
-                     f" {_fmt(p, P_PRECISION):>8}")
+        lines.append(f"{name:<16}{' ' + _fmt(coef):>12}{' ' + _fmt(se):>12}{' ' + _fmt(t):>10}"
+                     f"{' ' + _fmt(p, P_PRECISION):>9}")
     lines.append(f"n={fit.n}  k={fit.k}  rss={_fmt(fit.rss)}  deviance={_fmt(fit.deviance)}")
     payload = {"coefficients": terms, "rss": fit.rss, "deviance": _number(fit.deviance),
                "n": fit.n, "k": fit.k}
@@ -206,20 +207,14 @@ def _candidate_sets(confounders: tuple[str, ...]) -> list[tuple[str, ...]]:
     return candidates
 
 
-def _refit_with(design: design_mod.DesignMatrix, fit: arx_mod.ArxFit, column: str):
-    """Refit `fit`'s order and exogenous columns with `column` added."""
-    return arx_mod.fit_arx(design, arx_mod.ArxSpec(fit.order, fit.exogenous_columns + (column,)))
-
-
-def _select_and_fit_level_change(args: argparse.Namespace, design: design_mod.DesignMatrix):
-    """Select the ARX baseline, then refit it with the intervention level change added."""
+def _select_and_extend(args: argparse.Namespace, design: design_mod.DesignMatrix, columns: tuple):
+    """Select the ARX baseline, then fit it with columns[:1], columns[:2], ... added."""
     selection = arx_mod.select_baseline(
         design, args.arx_max_order, _candidate_sets(args.confounders)
     )
     if selection.best is None:
         raise ItsaError(selection.message)
-    full = _refit_with(design, selection.best, design_mod.INTERVENTION)
-    return selection, full
+    return selection, arx_mod.fit_nested(design, selection.best, columns)
 
 
 def _arx_json(fit: arx_mod.ArxFit) -> dict:
@@ -231,21 +226,19 @@ def _arx_json(fit: arx_mod.ArxFit) -> dict:
 
 def _cmd_arx(args) -> tuple[dict, str]:
     design = _build_case_design(args)
-    selection, full = _select_and_fit_level_change(args, design)
-    baseline = selection.best
-    level_test = arx_mod.likelihood_ratio_test(baseline, full)
-    with_trend = _refit_with(design, full, design_mod.TIME_AFTER)
+    selection, (full, with_trend) = _select_and_extend(args, design, design.intervention_columns)
+    level_test = arx_mod.likelihood_ratio_test(selection.best, full)
     trend_test = arx_mod.likelihood_ratio_test(full, with_trend)
 
-    payload = {"baseline": _arx_json(baseline), "full": _arx_json(full)}
+    payload = {"baseline": _arx_json(selection.best), "full": _arx_json(full)}
     lines = [
         f"{role + ':':<10}{fit.label}  deviance={_fmt(fit.deviance)}"
-        for role, fit in (("baseline", baseline), ("full", full))
+        for role, fit in (("baseline", selection.best), ("full", full))
     ]
     lines.append(f"{'term':<16}{'coef':>12}{'se':>12}")
     estimates = {**full.coefficients, **{f"phi{j}": ph for j, ph in enumerate(full.phi, start=1)}}
     for name, se in full.standard_errors.items():
-        lines.append(f"{name:<16}{_fmt(estimates[name]):>12}{_fmt(se):>12}")
+        lines.append(f"{name:<16}{' ' + _fmt(estimates[name]):>12}{' ' + _fmt(se):>12}")
     for change, test in (("level", level_test), ("trend", trend_test)):
         payload[f"{change}_test"] = {"lambda": test.lambda_, "df": test.df,
                                      "critical": test.critical_value, "p": test.p_value,
@@ -316,7 +309,7 @@ def _cmd_export(args) -> tuple[None, str]:
         "counterfactual": effect_mod.counterfactual_series(fit, design),
     }
     if args.arx:
-        _, full = _select_and_fit_level_change(args, design)
+        _, (full,) = _select_and_extend(args, design, (design_mod.INTERVENTION,))
         columns["arx_fitted"] = arx_mod.predict_arx(full)  # NaN: no lagged errors yet
 
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -13,10 +13,12 @@ from itsa.arx import (
     _fit_stack,
     _stationary,
     fit_arx,
+    fit_nested,
     likelihood_ratio_test,
     predict_arx,
     select_baseline,
 )
+from itsa.cli import _candidate_sets
 from itsa.errors import FitError
 from itsa.ols import fit_ols, gaussian_deviance
 
@@ -516,6 +518,49 @@ class TestStackedFits:
         with pytest.warns(UserWarning, match="unit circle") as caught:
             fit_arx(design, ArxSpec(1, ("intercept",)))
         assert caught[0].filename == __file__
+
+
+class TestFitNested:
+    """A baseline's nested extensions, as `itsa arx` fits its level and trend models: one stack."""
+
+    @pytest.fixture(scope="class", params=[
+        ((), 0), (("occupancy",), 0), (("admissions", "discharges", "occupancy"), 0), (("occupancy",), 2),
+    ], ids=["none", "occupancy", "all", "lag2"])
+    def cli_baseline(self, request, case_study):
+        """The CLI's design and its selected baseline, for each confounder set of the golden cases."""
+        confounders, lag = request.param
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53, lag), list(confounders))
+        return design, select_baseline(design, 3, _candidate_sets(confounders)).best
+
+    def test_each_member_equals_its_fit_alone(self, cli_baseline):
+        design, baseline = cli_baseline
+        columns = design.intervention_columns
+        members = fit_nested(design, baseline, columns)
+        assert len(members) == len(columns) == 2
+        for i, member in enumerate(members, start=1):
+            spec = ArxSpec(baseline.order, baseline.exogenous_columns + columns[:i])
+            assert member.exogenous_columns == spec.exogenous_columns
+            alone = fit_arx(design, spec, conditioning=baseline.conditioning)
+            assert (member.iterations, member.stop_reason) == (alone.iterations, alone.stop_reason)
+            assert member.deviance == pytest.approx(alone.deviance, rel=1e-12, abs=0.0)
+            assert member.beta == pytest.approx(alone.beta, rel=0.0, abs=1e-9)
+            assert member.phi == pytest.approx(alone.phi, rel=0.0, abs=1e-9)
+
+    def test_members_keep_the_baselines_rows(self, occupancy_design):
+        """A baseline conditioned on more weeks than its order passes them on: each pair is testable."""
+        baseline = fit_arx(occupancy_design, ArxSpec(2, ("intercept", "occupancy")), conditioning=3)
+        members = fit_nested(occupancy_design, baseline, ("intervention", "time_after"))
+        assert [member.conditioning for member in members] == [3, 3]
+        for small, big in zip([baseline, *members], members):
+            assert likelihood_ratio_test(small, big).df == 1
+
+    def test_no_columns_give_no_fits(self, occupancy_design, baseline_fit):
+        assert fit_nested(occupancy_design, baseline_fit, ()) == []
+        assert _fit_stack(occupancy_design, [], 3) == []
+
+    def test_column_the_fit_has_is_named(self, occupancy_design, baseline_fit):
+        with pytest.raises(FitError, match="column 'occupancy' is linearly dependent"):
+            fit_nested(occupancy_design, baseline_fit, ("occupancy",))
 
 
 class TestStationarity:

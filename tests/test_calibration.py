@@ -4,10 +4,11 @@ Each series keeps the case study's 114 weeks and its three confounders, and
 gets the outcome 25 + effect(week) + u, where u is AR(1) with phi = 0.3 and
 innovations N(0, 10^2), about the noise of the case study's own ARX fit.
 The pipeline is the one `itsa arx` runs: `select_baseline` up to order 3
-over `cli._candidate_sets` of the three confounders, then the likelihood-
-ratio test of the intervention level change at `LRT_ALPHA`. A series for
-which no candidate passes the whiteness check counts as not rejected, as
-the CLI then exits with an error and reports no test (1-2% of series).
+over `cli._candidate_sets` of the three confounders, the level model from
+`fit_nested`, then the likelihood-ratio test of the intervention level
+change at `LRT_ALPHA`. A series for which no candidate passes the
+whiteness check counts as not rejected, as the CLI then exits with an
+error and reports no test (1-2% of series).
 
 Each expected rate is from one run of 5 000 series per scenario with seed 1,
 independent of the test's seed. A test allows that rate +- 3 binomial
@@ -19,7 +20,7 @@ import pytest
 
 import itsa
 from itsa import cli
-from itsa.arx import LRT_ALPHA, likelihood_ratio_test, select_baseline
+from itsa.arx import LRT_ALPHA, fit_nested, likelihood_ratio_test, select_baseline
 from itsa.dataset import TimeSeriesDataset
 from itsa.design import INTERVENTION
 
@@ -40,7 +41,7 @@ def _rejects(case_study, y) -> bool:
     selection = select_baseline(design, 3, cli._candidate_sets(CONFOUNDERS))
     if selection.best is None:
         return False
-    full = cli._refit_with(design, selection.best, INTERVENTION)
+    (full,) = fit_nested(design, selection.best, (INTERVENTION,))
     return likelihood_ratio_test(selection.best, full).significant
 
 

@@ -87,6 +87,16 @@ class TestDataCommands:
         assert payload["overall"]["mean"] == pytest.approx(22.6, abs=0.2)
         assert payload["before"]["mean"] == pytest.approx(31.9, abs=0.2)
 
+    def test_summary_cells_never_run_together(self, tmp_path):
+        """At a level of 2.5e7 the mean, min and max are wider than their cells; a space parts them."""
+        rng = np.random.default_rng(1)
+        path = tmp_path / "high.csv"
+        path.write_text("week,y\n" + "".join(f"{w},{2.5e7 + 1e4 * rng.normal()!r}\n" for w in range(1, 61)))
+        code, text = invoke(["data", "summary", "--data", str(path), "--split-week", "31"])
+        assert code == 0
+        header, *rows = text.splitlines()[1:]
+        assert [len(row.split()) for row in rows] == [len(header.split())] * 3
+
     def test_summary_requires_split(self, capsys):
         code, _ = invoke(["data", "summary", "--builtin-case-study"])
         assert code == 1
@@ -195,6 +205,17 @@ class TestFitCommand:
             "time_after            0.0000      0.0000 undefined undefined\n"
             "n=60  k=4  rss=0.0000  deviance=undefined\n"
         )
+
+    def test_cells_never_run_together(self, tmp_path):
+        """On a near-exact line the intercept's t is wider than its cell; a space parts it from se."""
+        rng = np.random.default_rng(1)
+        path = tmp_path / "line.csv"
+        path.write_text("week,y\n" + "".join(
+            f"{w},{3 + 0.5 * w + 1e-6 * rng.normal()!r}\n" for w in range(1, 61)))
+        code, text = invoke(["fit", "--data", str(path), "--intervention-week", "31"])
+        assert code == 0
+        header, _, *rows, _ = text.splitlines()
+        assert [len(row.split()) for row in rows] == [len(header.split())] * 4
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_undefined_number_cell(self, value):

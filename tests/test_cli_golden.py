@@ -15,13 +15,23 @@ re-captures only those and keeps every other stored case as it is. A
 re-captured JSON number that agrees with the stored one within the
 test's tolerance keeps its stored value, so the diff shows only real
 changes; text is stored as captured.
+
+Compare this tree's CLI with another's, as before and after a change, with
+`PYTHONPATH=src python tests/test_cli_golden.py --compare OTHER_SRC`. It
+captures every case here and again in a subprocess with `PYTHONPATH=OTHER_SRC`,
+and names each case whose raw captures differ in any field: the written
+output, console, exported file or exit code. For JSON output that differs only
+in numbers it gives their largest relative difference. It exits 1 if any case
+differs in anything but JSON numbers.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -154,7 +164,66 @@ def test_recapture_keeps_stored_numbers_within_tolerance():
     assert keep_stored_numbers([1.0 + 1e-12, 2.0], [1.0]) == [1.0 + 1e-12, 2.0]
 
 
+def test_json_gap_is_the_largest_relative_number_difference():
+    assert json_gap({"a": [1.0, 2.0], "b": "x", "n": 3}, {"a": [1.0, 2.0], "b": "x", "n": 3}) == 0.0
+    assert json_gap({"a": [1.0, 4.0], "b": -2.0}, {"a": [1.0, 5.0], "b": -2.0}) == 0.2
+    for actual, expected in [({"a": 1.0}, {"b": 1.0}), ([1.0], [1.0, 2.0]), ("x", "y"), (1.0, None),
+                             (3, 4), (True, 1.0)]:
+        assert json_gap(actual, expected) is None
+
+
+def json_gap(actual, expected) -> float | None:
+    """The largest relative difference of the numbers in two parsed JSON values.
+
+    None when anything else differs: a key, a length, a type or a value that is not a float.
+    """
+    if isinstance(actual, float) and isinstance(expected, float):
+        return 0.0 if actual == expected else abs(actual - expected) / max(abs(actual), abs(expected))
+    if isinstance(actual, dict) and isinstance(expected, dict) and list(actual) == list(expected):
+        gaps = [json_gap(actual[key], expected[key]) for key in actual]
+    elif isinstance(actual, list) and isinstance(expected, list) and len(actual) == len(expected):
+        gaps = [json_gap(a, e) for a, e in zip(actual, expected)]
+    else:
+        return 0.0 if type(actual) is type(expected) and actual == expected else None
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def capture_all() -> dict[str, dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: capture(argv, pathlib.Path(tmp)) for name, argv in golden_cases().items()}
+
+
+def compare(other_src: str) -> int:
+    """Name each case whose captures here and with `other_src` differ; 1 if any differs in text."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(other_src).resolve())}
+    other = json.loads(subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    differ = in_text = 0
+    for name, ours in capture_all().items():
+        theirs = other[name]
+        fields = [key for key in {**ours, **theirs} if ours.get(key) != theirs.get(key)]
+        if not fields:
+            continue
+        gap = None
+        if "out" in fields and "json" in ours["argv"]:
+            try:
+                gap = json_gap(json.loads(ours["out"]), json.loads(theirs["out"]))
+            except json.JSONDecodeError:
+                pass
+        in_text_here = gap is None or fields != ["out"]
+        differ, in_text = differ + 1, in_text + in_text_here
+        print(f"{name}: differs in {', '.join(fields)}{'' if in_text_here else ', in JSON numbers only'}"
+              + ("" if gap is None else f", by at most {gap:.2g} relative"))
+    print(f"{differ} of {len(other)} cases differ from {other_src}, {in_text} of them in text")
+    return 1 if in_text else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--dump"]:  # the captures as JSON, for `--compare` in another tree
+        print(json.dumps(capture_all()))
+        sys.exit()
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[2]))
     cases = golden_cases()
     names = sys.argv[1:] or list(cases)
     unknown = [name for name in names if name not in cases]

@@ -149,6 +149,12 @@ class TestInvariants:
         with pytest.raises(DataError, match=f"column '{name}' appears more than once"):
             parse_csv(f"{header}\n{rows}")
 
+    def test_values_must_fit_the_weeks(self):
+        with pytest.raises(DataError, match=r"values shape \(2, 1\) does not fit weeks shape \(3,\)"):
+            TimeSeriesDataset(
+                weeks=[1, 2, 3], values=np.zeros((2, 1)), outcome_name="y", covariate_names=()
+            )
+
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 3"):
             parse_csv("week,y\n1,1\n2,2\n")
@@ -216,6 +222,11 @@ class TestSummarize:
 def test_unknown_covariate_lookup(case_study):
     with pytest.raises(DataError, match="unknown covariate"):
         case_study.covariate("nope")
+
+
+def test_not_equal_to_another_type():
+    """`__eq__` returns NotImplemented for a non-dataset, so `==` falls back to identity."""
+    assert (itsa.load_case_study() == 5) is False
 
 
 def test_load_case_study_is_fresh_each_call():

@@ -174,6 +174,15 @@ class TestDesignMatrixType:
                 changepoint=start_coded.changepoint,
             )
 
+    @pytest.mark.parametrize("matrix, names, n, message", [
+        (np.ones((3, 2)), ("intercept",), 3, "2 columns but 1 names"),
+        (np.ones((3, 1)), ("intercept",), 2, "outcome/week length does not match the matrix"),
+    ], ids=["names", "outcome"])
+    def test_shapes_must_agree(self, matrix, names, n, message):
+        with pytest.raises(DesignError, match=message):
+            DesignMatrix(matrix=matrix, column_names=names, outcome=np.zeros(n),
+                         weeks=np.arange(1.0, 4.0), changepoint=2)
+
     def test_subset_keeps_order_and_annotations(self, start_coded):
         sub = start_coded.subset(["intercept", "intervention", "occupancy"])
         assert sub.column_names == ("intercept", "intervention", "occupancy")

@@ -65,6 +65,10 @@ class TestNormal:
         with pytest.raises(ItsaError):
             normal_cdf(float("inf"))
 
+    def test_quantile_outside_unit_interval_rejected(self):
+        with pytest.raises(ItsaError, match=r"probability must lie in \(0, 1\), got 0.0"):
+            normal_quantile(0.0)
+
     def test_quantile_round_trip(self):
         for p in [0.001, 0.025, 0.3, 0.5, 0.84, 0.975, 0.999]:
             assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
@@ -127,6 +131,6 @@ class TestChiSquare:
             chi_square_sf(-1.0, 2)
         with pytest.raises(ItsaError):
             chi_square_quantile(1.5, 2)
-        with pytest.raises(ItsaError):
+        with pytest.raises(ItsaError, match="degrees of freedom must be a positive integer, got 0"):
             chi_square_quantile(0.95, 0)
 
