@@ -7,8 +7,10 @@ be complete (no gaps, no blanks) and spaced exactly one week apart.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -110,8 +112,12 @@ class TimeSeriesDataset:
         """Write the dataset as CSV (header row, week index first)."""
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["week", self.outcome_name, *self.covariate_names])
-        for week, row in zip(self.weeks.tolist(), self.values.tolist()):
-            writer.writerow([week, *map(_format_number, row)])
+        # a whole number below 1e15 prints as an int, any other value as its repr
+        values = self.values
+        cells = values.astype(object)
+        whole = (values == np.trunc(values)) & (np.abs(values) < 1e15)
+        cells[whole] = values[whole].astype(np.int64)
+        writer.writerows(zip(self.weeks.tolist(), *cells.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -132,12 +138,6 @@ class SegmentSummary:
     n_after: int
 
 
-def _format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
 def _parse_cell(text: str, row: int, column: str) -> float:
     stripped = text.strip()
     if not stripped:
@@ -152,22 +152,28 @@ def _parse_cell(text: str, row: int, column: str) -> float:
 
 
 def parse_csv(source, intervention_week: int | None = None) -> TimeSeriesDataset:
-    """Parse a CSV stream (or string) into a validated dataset.
+    """Parse a CSV stream (or a string, read as a file opened as text) into a validated dataset.
 
     The first column is the week index and the second the outcome;
     remaining columns are covariates, in file order. Every cell must be a
-    finite number. Precomputed design columns (level change / trend change
-    / baseline trend) are dropped with a warning, so both raw exports and
+    finite number. A `DataError` names the first bad row in file order and
+    the first bad cell in that row, or the line of a fault in the CSV itself.
+    Precomputed design columns (level change / trend change / baseline
+    trend) are dropped with a warning, so both raw exports and
     analysis-ready files load. When `intervention_week` is given, each
     such column that disagrees with it gets one more warning.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline=None)  # universal newlines, as a file opened as text
     reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
+        header = next(reader, None)
+        # each non-blank row by its row number
+        rows = {row_no: row for row_no, row in enumerate(reader, start=2) if "".join(row).strip()}
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError("empty input: no header row")
 
     derived = [i for i in range(1, len(header)) if _canonical(header[i]) in DERIVED_COLUMNS]
     keep = [i for i in range(1, len(header)) if i not in derived]
@@ -176,22 +182,24 @@ def parse_csv(source, intervention_week: int | None = None) -> TimeSeriesDataset
                       stacklevel=2)
     if not keep:
         raise DataError("header must name a week column and an outcome column")
-
-    columns = [0, *keep, *derived]
-    rows: dict[int, list[float]] = {}  # each parsed row by its line number
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-        cells = [_parse_cell(row[i], row_no, header[i]) for i in columns]
-        if cells[0] != int(cells[0]):
-            raise DataError(f"row {row_no}: week index must be an integer, got {row[0]!r}")
-        rows[row_no] = cells
-
     if not rows:
         raise DataError("empty input: no data rows")
-    table = np.array(list(rows.values()))
+
+    columns = [0, *keep, *derived]
+    table = None
+    if set(map(len, rows.values())) == {len(header)}:
+        cells = map(float, itertools.chain.from_iterable(rows.values()))
+        with contextlib.suppress(ValueError):  # float() refused a cell
+            table = np.fromiter(cells, float, len(rows) * len(header)).reshape(len(rows), -1)
+    if table is None or not np.isfinite(table).all() or np.any(table[:, 0] != np.trunc(table[:, 0])):
+        # for the message: the first bad row in file order, and its first bad cell
+        for row_no, row in rows.items():
+            if len(row) != len(header):
+                raise DataError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+            week, *_ = [_parse_cell(row[i], row_no, header[i]) for i in columns]
+            if week != int(week):
+                raise DataError(f"row {row_no}: week index must be an integer, got {row[0]!r}")
+    table = table[:, columns]
     weeks = table[:, 0]
     if intervention_week is not None:
         for idx, given in zip(derived, table[:, 1 + len(keep):].T):

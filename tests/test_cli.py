@@ -67,6 +67,13 @@ class TestDataCommands:
         assert code == 1
         assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
 
+    def test_csv_fault_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text('week,y\n1,"' + "1" * 131_073 + '"\n2,2\n3,3\n')
+        code, _ = invoke(["data", "validate", "--data", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 2: field larger than field limit (131072)\n"
+
     def test_no_input_exits_1(self, capsys):
         code, _ = invoke(["data", "validate"])
         assert code == 1

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -85,6 +86,33 @@ class TestParseCsv:
         with pytest.raises(DataError, match="non-finite"):
             parse_csv("week,y\n1,inf\n2,2\n3,3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("week,y\n1,2\n2,x\n3,4\n4,5,6\n", "row 3, column 'y': non-numeric value 'x'"),
+        ("week,y\n1,2\n2,x\n3\n", "row 3, column 'y': non-numeric value 'x'"),
+        ("week,y\n1,2\n2,inf\n3\n", "row 3, column 'y': non-finite value 'inf'"),
+        ("week,y\n1,2\n2,inf\n3,4,5\n", "row 3, column 'y': non-finite value 'inf'"),
+        ("week,y\n1,2\n2.5,3\n3,x\n", "row 3: week index must be an integer, got '2.5'"),
+        ("week,y\n1,2\n2\n3,x\n", "row 3: expected 2 cells, got 1"),
+        ("week,y\n1,2\n2,3,4\n3,inf\n", "row 3: expected 2 cells, got 3"),
+    ], ids=["bad-then-long", "bad-then-short", "inf-then-short", "inf-then-long",
+            "fractional-week-then-bad", "short-then-bad", "long-then-inf"])
+    def test_first_bad_row_in_file_order_wins(self, text, message):
+        with pytest.raises(DataError) as caught:
+            parse_csv(text)
+        assert str(caught.value) == message
+
+    def test_csv_fault_is_a_data_error(self):
+        text = 'week,y\n1,"' + "1" * 131_073 + '"\n2,2\n3,3\n'
+        with pytest.raises(DataError, match=r"^line 2: field larger than field limit \(131072\)$"):
+            parse_csv(text)
+
+    def test_string_reads_like_a_file(self, tmp_path):
+        text = "week,y\r1,2\r2,3\r3,4\r"
+        path = tmp_path / "mac.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            assert parse_csv(text) == parse_csv(fh) == parse_csv("week,y\n1,2\n2,3\n3,4\n")
+
     def test_derived_columns_ignored_with_warning(self):
         text = (
             "week,y,occupancy,Level Change,Trend Change,Baseline Trend\n"
@@ -119,6 +147,39 @@ class TestParseCsv:
         sink = io.StringIO()
         ds.to_csv(sink)
         assert parse_csv(sink.getvalue()) == ds
+
+
+def reference_csv(ds):
+    """to_csv's text written a cell at a time: a whole number below 1e15 as an int, else its repr."""
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["week", ds.outcome_name, *ds.covariate_names])
+    for week, row in zip(ds.weeks.tolist(), ds.values.tolist()):
+        writer.writerow([week, *(str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+                                 for v in row)])
+    return sink.getvalue()
+
+
+class TestToCsv:
+    def test_text(self):
+        ds = TimeSeriesDataset(
+            weeks=[1, 2, 3],
+            values=[[-0.0, 999999999999999.0], [-7.0, 1e15], [2.5, 1e-300]],
+            outcome_name="y",
+            covariate_names=("beds, staffed",),
+        )
+        sink = io.StringIO()
+        ds.to_csv(sink)
+        assert sink.getvalue() == (
+            'week,y,"beds, staffed"\n1,0,999999999999999\n2,-7,1000000000000000.0\n3,2.5,1e-300\n'
+        )
+
+    @settings(deadline=None)
+    @given(datasets())
+    def test_matches_the_per_cell_rule(self, ds):
+        sink = io.StringIO()
+        ds.to_csv(sink)
+        assert sink.getvalue() == reference_csv(ds)
 
 
 class TestInvariants:
