@@ -23,7 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import EPS, check_rank, dependent_columns, is_exact_fit
+from .ols import EPS, check_rank, check_rss, dependent_columns, exact_fit_bound
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -113,7 +113,6 @@ class SelectionResult:
 
     best: ArxFit | None
     trace: tuple[CandidateRecord, ...]
-    message: str = ""
 
 
 def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None) -> ArxFit:
@@ -200,24 +199,24 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     stacked = np.zeros((m, q + 1, ne + q))  # [-J; D | e; 0]'; each iteration rewrites the first ne entries
     stacked[:, :q, ne:] = pad
     lag_on = active[:, big_k:].astype(float)
-    upper = np.triu(np.ones((q + 1, q + 1)))
     u, e = residuals(theta, x_lags)
     rss = np.einsum("ij,ij->i", e, e)
+    check_rss(float(rss.max()), design, [name for spec in specs for name in spec.exogenous_columns])
+    exact = exact_fit_bound(y, ne)
     rounding = 1.0 + ne * EPS
     iterations = np.zeros(m, dtype=int)
     stuck = np.zeros(m, dtype=bool)  # no halving of the last step lowered the RSS
     rows = np.arange(m)  # the member in each row of the stack
     final: list = [None] * m  # each member's state when it stopped
     while True:
-        if is_exact_fit(float(rss.min()), y, ne):
+        if rss.min() <= exact:
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
         top = stacked[..., :ne]
         ar_x = np.einsum("ij,ikjt->ikt", theta[:, big_k:], x_lags[:, :, 1:])
         np.subtract(x_lags[:, :, 0], ar_x, out=top[:, :big_k])
         np.multiply(u[:, 1:], lag_on[..., None], out=top[:, big_k:q])
         top[:, q] = e
-        h = np.linalg.qr(stacked.mT, mode="raw")[0]  # the factored matrix, transposed
-        r = h[:, :, : q + 1].mT * upper  # R: the upper triangle of its top rows
+        r = np.linalg.qr(stacked.mT, mode="r")
         r_j, qte = r[:, :q, :q], r[:, :q, q]
         offset = np.sqrt(np.einsum("ij,ij->i", qte, qte) / rss)  # |J d| / |e| for the Gauss-Newton d
         gram = r.mT @ r  # [J'J, -J'e; -e'J, e'e]
@@ -408,13 +407,9 @@ def select_baseline(
     ranked = tuple(sorted(trace, key=lambda rec: rec.bic))
     winner = next((rec for rec in ranked if rec.admissible), None)
     if winner is None:
-        return SelectionResult(
-            best=None,
-            trace=ranked,
-            message="no candidate passed the residual whiteness check",
-        )
+        return SelectionResult(best=None, trace=ranked)
     best = fit_arx(design, ArxSpec(winner.fit.order, winner.fit.exogenous_columns))  # natural window
-    return SelectionResult(best=best, trace=ranked, message=f"selected {winner.fit.label}")
+    return SelectionResult(best=best, trace=ranked)
 
 
 def likelihood_ratio_test(baseline: ArxFit, full: ArxFit) -> LrtResult:

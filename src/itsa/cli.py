@@ -194,7 +194,7 @@ def _cmd_diagnose(args) -> tuple[dict, str]:
         f"Ljung-Box      q={_fmt(lb.statistic)}  df={lb.df}  p={_fmt(lb.p_value, P_PRECISION)}",
         f"ACF (white-noise band +-{residual_acf.band:.3f})",
     ]
-    for lag, r in zip(residual_acf.lags, residual_acf.correlations):
+    for lag, r in enumerate(residual_acf.correlations, start=1):
         flag = " *" if abs(r) > residual_acf.band else ""
         lines.append(f"  lag {lag:>2}  {r:>8.3f}{flag}")
     return payload, "\n".join(lines) + "\n"
@@ -213,7 +213,7 @@ def _select_and_extend(args: argparse.Namespace, design: design_mod.DesignMatrix
         design, args.arx_max_order, _candidate_sets(args.confounders)
     )
     if selection.best is None:
-        raise ItsaError(selection.message)
+        raise ItsaError("no candidate passed the residual whiteness check")
     return selection, arx_mod.fit_nested(design, selection.best, columns)
 
 
@@ -236,9 +236,9 @@ def _cmd_arx(args) -> tuple[dict, str]:
         for role, fit in (("baseline", selection.best), ("full", full))
     ]
     lines.append(f"{'term':<16}{'coef':>12}{'se':>12}")
-    estimates = {**full.coefficients, **{f"phi{j}": ph for j, ph in enumerate(full.phi, start=1)}}
-    for name, se in full.standard_errors.items():
-        lines.append(f"{name:<16}{' ' + _fmt(estimates[name]):>12}{' ' + _fmt(se):>12}")
+    estimates = [*full.coefficients.values(), *full.phi]  # in the order of the se keys
+    for (name, se), estimate in zip(full.standard_errors.items(), estimates):
+        lines.append(f"{name:<16}{' ' + _fmt(estimate):>12}{' ' + _fmt(se):>12}")
     for change, test in (("level", level_test), ("trend", trend_test)):
         payload[f"{change}_test"] = {"lambda": test.lambda_, "df": test.df,
                                      "critical": test.critical_value, "p": test.p_value,

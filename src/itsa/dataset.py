@@ -60,6 +60,9 @@ class TimeSeriesDataset:
                 raise DataError(f"column {name!r} appears more than once")
         if not np.all(np.isfinite(weeks) & (weeks == np.round(weeks))):
             raise DataError("weeks must be whole numbers")
+        if not np.isfinite(values).all():
+            row, column = np.argwhere(~np.isfinite(values))[0]
+            raise DataError(f"column {names[column]!r} holds a non-finite value at week {weeks[row]:g}")
         if len(weeks) < 3:
             raise DataError(f"dataset needs at least 3 records, got {len(weeks)}")
         out_of_sequence = np.flatnonzero(np.diff(weeks) != 1)

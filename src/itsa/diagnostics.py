@@ -27,10 +27,8 @@ class DwResult:
 
 @dataclass(frozen=True)
 class AcfResult:
-    lags: tuple[int, ...]
-    correlations: tuple[float, ...]
-    band: float  # +-band is the white-noise bound at `level`
-    level: float
+    correlations: tuple[float, ...]  # at lags 1, 2, ...
+    band: float  # +-band bounds 95% of a white-noise series' autocorrelations
 
 
 @dataclass(frozen=True)
@@ -96,14 +94,7 @@ def _autocorrelations(series, max_lag: int) -> np.ndarray:
 def acf(series, max_lag: int) -> AcfResult:
     """Sample autocorrelations at lags 1..max_lag with the 95% white-noise band."""
     corr = _autocorrelations(series, max_lag)
-    level = 0.95
-    band = normal_quantile(0.5 + level / 2.0) / len(series) ** 0.5
-    return AcfResult(
-        lags=tuple(range(1, max_lag + 1)),
-        correlations=tuple(corr.tolist()),
-        band=band,
-        level=level,
-    )
+    return AcfResult(tuple(corr.tolist()), band=normal_quantile(0.975) / len(series) ** 0.5)
 
 
 def ljung_box(residuals, lags: int, fitted_params: int = 0) -> LjungBoxResult:

@@ -5,10 +5,10 @@ than the normal equations. A design is rank deficient when a column's
 distance from the span of the columns before it is tiny relative to the
 column's own norm, a test that does not depend on the columns' scales;
 the first such column is reported by name instead of silently producing
-garbage. An RSS within the rounding of y is an exact fit, whose
-likelihood is unbounded and whose t and p are undefined; the ARX fits
-share both rules. Inference uses the unbiased residual variance; the
-deviance the Gaussian MLE variance.
+garbage. An RSS within the rounding of y is an exact fit (unbounded
+likelihood, undefined t and p), and one that is not finite is refused
+with its cause; the ARX fits share these rules. Inference uses the
+unbiased residual variance; the deviance the Gaussian MLE variance.
 """
 
 from __future__ import annotations
@@ -53,34 +53,33 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     """Fit the design by QR least squares with Student-t inference.
 
     Raises `FitError` naming the first column that depends linearly on the
-    columns before it.
+    columns before it, or the cause of an RSS that is not finite.
     """
-    x = design.matrix
-    y = design.outcome
+    x, y, names = design.matrix, design.outcome, design.column_names
     n, k = x.shape
     if n <= k:
         raise FitError(f"need more observations than parameters: n={n}, k={k}")
 
     q, r = np.linalg.qr(x)
-    check_rank(r, design.column_names)
+    check_rank(r, names)
 
     r_inv = np.linalg.inv(r)  # LU of a triangular R swaps no rows: a triangular inverse
     beta = r_inv @ (q.T @ y)
     fitted = linear_predictor(x, beta)
     residuals = y - fitted
-    rss = float(residuals @ residuals)
+    rss = float(np.vdot(residuals, residuals))  # unlike @, no warning when it overflows
+    check_rss(rss, design, names)
     df = n - k
     covariance = rss / df * (r_inv @ r_inv.T)  # unbiased sigma2 (X'X)^-1; (X'X)^-1 = R^-1 R^-T
 
     se = np.sqrt(np.diag(covariance))
-    if is_exact_fit(rss, y, n):  # se is rounding error, so t and p are undefined
+    if rss <= exact_fit_bound(y, n):  # se is rounding error, so t and p are undefined
         t_stats = np.full(k, math.nan)
         deviance = -math.inf  # the likelihood is unbounded; gaussian_deviance refuses it
     else:
         t_stats = beta / se
         deviance = n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
 
-    names = design.column_names
     return OlsFit(
         coefficients=dict(zip(names, beta.tolist())),
         standard_errors=dict(zip(names, se.tolist())),
@@ -122,17 +121,28 @@ def check_rank(r: np.ndarray, names) -> None:
                        "on the columns before it")
 
 
-def is_exact_fit(rss: float, y: np.ndarray, rows: int) -> bool:
-    """Is an RSS of `rows` residuals of y within the rounding of y: RSS <= rows (10 eps max|y|)^2?
+def exact_fit_bound(y: np.ndarray, rows: int) -> float:
+    """The largest RSS of `rows` residuals within y's rounding: max(rows TINY, rows (10 eps max|y|)^2).
 
-    A square below the smallest normal float has lost its precision, so an RSS
-    below `rows` of those is within rounding too.
+    TINY, the smallest normal float, bounds squares that have lost their precision.
+    The square is a product, which overflows to inf where ** would raise.
     """
-    if rss <= rows * TINY:
-        return True
-    scale = rows * (10.0 * EPS) ** 2
-    # max|y|^2 <= y'y, so the dot product settles most fits without the maximum
-    return rss <= scale * float(y @ y) and rss <= scale * float(np.abs(y).max()) ** 2
+    scale = 10.0 * EPS * float(np.abs(y).max())
+    return rows * max(TINY, scale * scale)
+
+
+def check_rss(rss: float, design: DesignMatrix, names) -> None:
+    """Raise `FitError` naming the cause of an RSS that is not finite, from a fit of the named columns.
+
+    The cause is the first of them, else the outcome, with a non-finite value; with neither, overflow.
+    """
+    if math.isfinite(rss):
+        return
+    named = [(f"design column {name!r}", design.column(name)) for name in names]
+    for what, values in [*named, ("the outcome", design.outcome)]:
+        if not np.isfinite(values).all():
+            raise FitError(f"{what} holds a non-finite value")
+    raise FitError("the outcome is too large: the sum of squares of its residuals overflows")
 
 
 def gaussian_deviance(fit: OlsFit) -> float:

@@ -106,7 +106,7 @@ def test_criterion_3_autoregressive_pipeline(occupancy_design, data):
         and baseline.exogenous_columns == ("intercept", "occupancy")
     )
     if not selected_ok:
-        report(3, False, f"baseline selection chose {selection.message!r}")
+        report(3, False, f"baseline selection chose {baseline and baseline.label!r}")
         return
     full = fit_arx(
         occupancy_design, ArxSpec(2, ("intercept", "occupancy", "intervention"))

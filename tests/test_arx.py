@@ -214,6 +214,24 @@ class TestFitArx:
         with pytest.raises(FitError, match="rank deficient: column 'b'"):
             fit_arx(design, ArxSpec(order, ("intercept", "a", "b")))
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_non_finite_rss_names_its_cause(self, rng, order):
+        """As in `fit_ols`: a non-finite column, else the outcome, else an outcome too large to square."""
+        weeks = np.arange(1.0, 41.0)
+        matrix = np.column_stack([np.ones(40), weeks])
+        spec = ArxSpec(order, ("intercept", "time"))
+        y = rng.normal(size=40)
+        y[7] = math.nan
+        with pytest.raises(FitError, match="^the outcome holds a non-finite value$"):
+            fit_arx(make_design(matrix, y, ["intercept", "time"]), spec)
+        matrix[3, 1] = math.inf
+        with pytest.raises(FitError, match="^design column 'time' holds a non-finite value$"):
+            fit_arx(make_design(matrix, y, ["intercept", "time"]), spec)
+        matrix[3, 1] = 4.0
+        y = 2e156 + 1e155 * rng.normal(size=40)
+        with pytest.raises(FitError, match="outcome is too large"):
+            fit_arx(make_design(matrix, y, ["intercept", "time"]), spec)
+
     @pytest.mark.parametrize("noise", [0.0, 0.5], ids=["exact", "noisy"])
     def test_exact_fit_rule_shared_with_fit_ols(self, rng, noise):
         """At a level of 1e6 both estimators refuse the same exact fit and score the same noisy one."""
@@ -632,7 +650,7 @@ class TestSelectBaseline:
         assert result.best.order == 2
         assert result.best.exogenous_columns == ("intercept", "occupancy")
         assert result.best.conditioning == 2  # refit on its natural window
-        assert "ARX(2)" in result.message
+        assert result.best.label == "ARX(2) intercept+occupancy"
         # the trace is ranked by BIC and covers the whole grid
         assert len(result.trace) == 3 * 4
         bics = [c.bic for c in result.trace]
@@ -672,6 +690,14 @@ class TestSelectBaseline:
             assert math.isnan(record.whiteness_p) == (record.fit.order >= WHITENESS_LAGS)
             if math.isnan(record.whiteness_p):
                 assert not record.admissible
+
+    def test_nan_outcome_is_named(self, occupancy_design):
+        """Not every member stopping after 0 steps, which read as no white candidate."""
+        y = occupancy_design.outcome.copy()
+        y[40] = math.nan
+        design = dataclasses.replace(occupancy_design, outcome=y)
+        with pytest.raises(FitError, match="^the outcome holds a non-finite value$"):
+            select_baseline(design, 2, [("intercept",), ("intercept", "occupancy")])
 
     def test_negative_max_order(self, occupancy_design):
         with pytest.raises(FitError, match="max_order"):

