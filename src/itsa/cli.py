@@ -160,9 +160,10 @@ def _cmd_fit(args) -> tuple[dict, str]:
     header = f"{'term':<16}{'coef':>12}{'se':>12}{'t':>10}{'p':>9}"
     lines = [header, "-" * len(header)]
     terms = {}
+    p_values = fit.p_values  # computed on each read
     for name in fit.column_names:
         coef, se, t, p = (fit.coefficients[name], fit.standard_errors[name],
-                          fit.t_stats[name], fit.p_values[name])
+                          fit.t_stats[name], p_values[name])
         terms[name] = {"estimate": coef, "se": se, "t": _number(t), "p": _number(p)}
         lines.append(f"{name:<16}{' ' + _fmt(coef):>12}{' ' + _fmt(se):>12}{' ' + _fmt(t):>10}"
                      f"{' ' + _fmt(p, P_PRECISION):>9}")

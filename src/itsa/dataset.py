@@ -245,15 +245,19 @@ def summarize(dataset: TimeSeriesDataset, split_week: int) -> SegmentSummary:
     if not before.size or not after.size:
         raise DataError(f"split week {split_week} leaves an empty segment")
     # fsum rounds the sum once, so a mean does not depend on the summation order
+    try:
+        overall_mean, before_mean, after_mean = (math.fsum(v) / len(v) for v in (outcome, before, after))
+    except OverflowError:
+        raise DataError(f"the outcome {dataset.outcome_name!r} is too large: its sum overflows") from None
     return SegmentSummary(
         split_week=split_week,
-        overall_mean=math.fsum(outcome) / len(outcome),
+        overall_mean=overall_mean,
         overall_min=float(outcome.min()),
         overall_max=float(outcome.max()),
-        before_mean=math.fsum(before) / len(before),
+        before_mean=before_mean,
         before_min=float(before.min()),
         before_max=float(before.max()),
-        after_mean=math.fsum(after) / len(after),
+        after_mean=after_mean,
         after_min=float(after.min()),
         after_max=float(after.max()),
         n_before=len(before),

@@ -3,7 +3,8 @@
 Builds the regressor matrix for an interrupted time series: intercept,
 time, a 0/1 intervention indicator, a post-intervention trend counter,
 and any confounders, in a fixed column order so coefficient tables are
-reproducible. The time origin can be moved by an integer (`recode_time`);
+reproducible. The matrix is column-major, so each column is one
+contiguous array. The time origin can be moved by an integer (`recode_time`);
 the shift changes only the intercept's interpretation.
 """
 
@@ -80,8 +81,8 @@ class DesignMatrix:
             raise DesignError(f"no column named {name!r}") from None
 
     def columns(self, names: tuple[str, ...] | list[str]) -> np.ndarray:
-        """New row-major matrix of the named columns, in the given order."""
-        return self.matrix.take([self.column_index(name) for name in names], axis=1)
+        """New column-major matrix of the named columns, in the given order."""
+        return self.matrix.T.take([self.column_index(name) for name in names], axis=0).T
 
     def subset(self, names: tuple[str, ...] | list[str]) -> "DesignMatrix":
         """New design keeping only the named columns, in the given order."""
@@ -121,7 +122,7 @@ def build_design(
                 for name in ("baseline trend", "level change", "trend change")]
     columns += [dataset.covariate(name) for name in confounders]
     return DesignMatrix(
-        matrix=np.column_stack(columns),
+        matrix=np.array(columns).T,  # the transpose of a row per column: column-major
         column_names=(INTERCEPT, TIME, INTERVENTION, TIME_AFTER, *confounders),
         outcome=dataset.outcome,
         weeks=weeks,
@@ -138,6 +139,6 @@ def recode_time(design: DesignMatrix, origin: int) -> DesignMatrix:
     confounders, and outcome are untouched, so fitted values and all
     non-intercept coefficients are invariant.
     """
-    out = design.matrix.copy()
+    out = design.matrix.copy(order="F")
     out[:, design.column_index(TIME)] = design.weeks - origin
     return replace(design, matrix=out)

@@ -1,14 +1,18 @@
 """Ordinary least squares for segmented regression.
 
-Coefficients are solved through an unpivoted QR factorization rather
-than the normal equations. A design is rank deficient when a column's
-distance from the span of the columns before it is tiny relative to the
-column's own norm, a test that does not depend on the columns' scales;
-the first such column is reported by name instead of silently producing
-garbage. An RSS within the rounding of y is an exact fit (unbounded
-likelihood, undefined t and p), and one that is not finite is refused
-with its cause; the ARX fits share these rules. Inference uses the
-unbiased residual variance; the deviance the Gaussian MLE variance.
+Coefficients are solved through one unpivoted QR factorization of
+[X | y] rather than the normal equations. Only its R factor is formed:
+its first k columns are X's R factor and its last is Q'y. A design is
+rank deficient when a column's distance from the span of the columns
+before it is tiny relative to the column's own norm, a test that does
+not depend on the columns' scales; the first such column is reported by
+name instead of silently producing garbage. An RSS within the rounding
+of y is an exact fit (unbounded likelihood, undefined t and p), and one
+that is not finite is refused with its cause; the ARX fits share these
+rules. Inference uses the unbiased residual variance, with standard
+errors taken as row norms of R^-1 so that a column of large scale does
+not underflow them; p-values are computed when read. The deviance uses
+the Gaussian MLE variance.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ class OlsFit:
     coefficients: dict[str, float]
     standard_errors: dict[str, float]
     t_stats: dict[str, float]
-    p_values: dict[str, float]
     residuals: np.ndarray
     fitted: np.ndarray
     rss: float
@@ -48,6 +51,12 @@ class OlsFit:
     def beta(self) -> np.ndarray:
         return np.array([self.coefficients[c] for c in self.column_names])
 
+    @property
+    def p_values(self) -> dict[str, float]:
+        """Two-sided Student-t p-values of `t_stats` on n - k degrees of freedom, computed on each read."""
+        t_stats = np.array([self.t_stats[c] for c in self.column_names])
+        return dict(zip(self.column_names, student_t_two_sided_p(t_stats, self.n - self.k).tolist()))
+
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
     """Fit the design by QR least squares with Student-t inference.
@@ -60,19 +69,23 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     if n <= k:
         raise FitError(f"need more observations than parameters: n={n}, k={k}")
 
-    q, r = np.linalg.qr(x)
-    check_rank(r, names)
+    xy = np.empty((n, k + 1), order="F")
+    xy[:, :k], xy[:, k] = x, y
+    r = np.linalg.qr(xy, mode="r")  # [R | Q'y]: X's R factor, then y projected on Q
+    check_rank(r[:k, :k], names)
 
-    r_inv = np.linalg.inv(r)  # LU of a triangular R swaps no rows: a triangular inverse
-    beta = r_inv @ (q.T @ y)
-    fitted = linear_predictor(x, beta)
-    residuals = y - fitted
+    r_inv = np.linalg.inv(r[:k, :k])  # LU of a triangular R swaps no rows: a triangular inverse
+    with np.errstate(over="ignore", invalid="ignore"):  # check_rss names what overflowed
+        beta = r_inv @ r[:k, k]
+        fitted = linear_predictor(x, beta)
+        residuals = y - fitted
     rss = float(np.vdot(residuals, residuals))  # unlike @, no warning when it overflows
     check_rss(rss, design, names)
     df = n - k
     covariance = rss / df * (r_inv @ r_inv.T)  # unbiased sigma2 (X'X)^-1; (X'X)^-1 = R^-1 R^-T
 
-    se = np.sqrt(np.diag(covariance))
+    # sqrt(diag(covariance)) as sigma times R^-1's row norms: no square to underflow
+    se = math.sqrt(rss / df) * np.hypot.reduce(r_inv, axis=1)
     if rss <= exact_fit_bound(y, n):  # se is rounding error, so t and p are undefined
         t_stats = np.full(k, math.nan)
         deviance = -math.inf  # the likelihood is unbounded; gaussian_deviance refuses it
@@ -84,7 +97,6 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         coefficients=dict(zip(names, beta.tolist())),
         standard_errors=dict(zip(names, se.tolist())),
         t_stats=dict(zip(names, t_stats.tolist())),
-        p_values=dict(zip(names, student_t_two_sided_p(t_stats, df).tolist())),
         residuals=residuals,
         fitted=fitted,
         rss=rss,
@@ -153,5 +165,7 @@ def gaussian_deviance(fit: OlsFit) -> float:
 
 
 def linear_predictor(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """X @ beta as each row's sum of elementwise products: unlike BLAS, no row depends on the others."""
-    return np.sum(matrix * beta, axis=1)
+    """X @ beta as each row's running sum of products in column order: unlike BLAS or `np.sum`,
+    no row's rounding depends on the other rows or on the memory layout."""
+    terms = matrix * beta
+    return np.add.accumulate(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(terms))

@@ -244,6 +244,22 @@ class TestFitCommand:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: the outcome is too large: the sum of squares of its residuals overflows")
 
+    @pytest.mark.parametrize("command, expected", [
+        (["fit", "--intervention-week", "30"],
+         "error: the outcome is too large: the sum of squares of its residuals overflows"),
+        (["data", "summary", "--split-week", "30"],
+         "error: the outcome 'y' is too large: its sum overflows"),
+    ], ids=["fit", "data-summary"])
+    def test_outcome_near_the_largest_float_exits_1(self, tmp_path, capsys, command, expected):
+        """Outcomes near 1.7e308: exactly one error line, no warning and no traceback."""
+        rng = np.random.default_rng(4)
+        path = tmp_path / "largest.csv"
+        rows = "".join(f"{w},{1.7e308 * (0.5 + 0.1 * rng.normal())!r}\n" for w in range(1, 61))
+        path.write_text("week,y\n" + rows)
+        code, _ = invoke([*command, "--data", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+
     def test_repeated_confounder_exits_1(self, capsys):
         code, _ = invoke(["arx", *CASE_STUDY_FLAGS, "--confounders", "occupancy,occupancy"])
         assert code == 1

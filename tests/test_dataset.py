@@ -287,6 +287,12 @@ class TestSummarize:
         with pytest.raises(DataError, match="outside"):
             summarize(case_study, 200)
 
+    def test_sum_too_large_names_the_outcome(self):
+        """A mean whose sum overflows is refused, naming the outcome column."""
+        values = np.full((10, 1), 1.7e308)
+        with pytest.raises(DataError, match="^the outcome 'y' is too large: its sum overflows$"):
+            summarize(TimeSeriesDataset(np.arange(1, 11), values, "y", ()), 5)
+
 
 def test_unknown_covariate_lookup(case_study):
     with pytest.raises(DataError, match="unknown covariate"):

@@ -192,6 +192,16 @@ class TestDesignMatrixType:
         assert start_coded.intervention_columns == ("intervention", "time_after")
         assert start_coded.subset(["intercept", "time"]).intervention_columns == ()
 
+    def test_matrices_are_column_major(self, start_coded):
+        """build_design, columns, subset and recode_time give each column as one contiguous array."""
+        names = ["occupancy", "intercept", "intervention"]
+        assert start_coded.matrix.flags.f_contiguous
+        assert start_coded.columns(names).flags.f_contiguous
+        assert np.array_equal(start_coded.columns(names),
+                              np.column_stack([start_coded.column(c) for c in names]))
+        assert start_coded.subset(names).matrix.flags.f_contiguous
+        assert recode_time(start_coded, 52).matrix.flags.f_contiguous
+
     def test_missing_column(self, start_coded):
         with pytest.raises(DesignError, match="no column named"):
             start_coded.column("nope")

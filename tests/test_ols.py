@@ -2,14 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import itsa
+from itsa.dataset import TimeSeriesDataset
+from itsa.distributions import student_t_two_sided_p
 from itsa.errors import FitError
-from itsa.ols import EPS, TINY, exact_fit_bound, fit_ols, gaussian_deviance
+from itsa.ols import EPS, TINY, exact_fit_bound, fit_ols, gaussian_deviance, linear_predictor
 
 from conftest import make_design
 
@@ -104,6 +107,109 @@ class TestFitOls:
             small = fit_ols(make_design(x, y))
             grown = fit_ols(make_design(np.column_stack([x, rng.normal(size=25)]), y))
             assert grown.rss <= small.rss + 1e-10
+
+
+def reduced_q_reference(x, y):
+    """The solve `fit_ols` used before its R-only QR, kept as a reference: beta = R^-1 (Q'y), Q formed."""
+    q, r = np.linalg.qr(x)
+    beta = np.linalg.inv(r) @ (q.T @ y)
+    residuals = y - np.sum(x * beta, axis=1)
+    return beta, float(residuals @ residuals)
+
+
+def seeded_weekly_unit(seed, n=156):
+    """A seeded weekly series with three confounders and a level change between weeks 60 and 100."""
+    rng = np.random.default_rng(seed)
+    weeks = np.arange(1, n + 1)
+    changepoint = int(rng.integers(60, 101))
+    occupancy = np.clip(80.0 + 6.0 * np.sin(2.0 * np.pi * weeks / 52.0) + rng.normal(0.0, 3.0, n),
+                        0.0, 100.0)
+    admissions = rng.poisson(210.0, n).astype(float)
+    discharges = rng.poisson(175.0, n).astype(float)
+    y = (45.0 - 3.0 * weeks / n - 12.0 * (weeks >= changepoint) + 0.9 * (occupancy - 80.0)
+         + rng.normal(0.0, 5.0, n))
+    values = np.column_stack([y, occupancy, admissions, discharges])
+    return TimeSeriesDataset(weeks, values, "y", ("occupancy", "admissions", "discharges")), changepoint
+
+
+class TestSolveParity:
+    """`fit_ols` against numpy.linalg.lstsq and the explicit-Q solve, at every lag of a 12-lag scan.
+
+    beta agrees in norm and RSS in value within PARITY_RTOL relative. Single
+    coefficients near zero can differ by more, relative to themselves.
+    """
+
+    PARITY_RTOL = 1e-12
+
+    def scan(self, dataset, changepoint):
+        confounders = list(dataset.covariate_names)
+        for lag in range(12):
+            yield itsa.build_design(dataset, itsa.InterventionSpec(changepoint, lag), confounders)
+
+    def assert_parity(self, design):
+        fit = fit_ols(design)
+        x, y = design.matrix, design.outcome
+        lstsq_beta = np.linalg.lstsq(x, y, rcond=None)[0]
+        lstsq_residuals = y - x @ lstsq_beta
+        references = [(lstsq_beta, float(lstsq_residuals @ lstsq_residuals)), reduced_q_reference(x, y)]
+        for beta, rss in references:
+            assert np.linalg.norm(fit.beta - beta) <= self.PARITY_RTOL * np.linalg.norm(beta)
+            assert fit.rss == pytest.approx(rss, rel=self.PARITY_RTOL, abs=0)
+
+    def test_case_study(self, case_study):
+        for design in self.scan(case_study, 53):
+            self.assert_parity(design)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_156_week_units(self, seed):
+        for design in self.scan(*seeded_weekly_unit(seed)):
+            self.assert_parity(design)
+
+
+class TestInference:
+    def test_p_values_are_the_t_tail_on_n_minus_k(self, full_fit):
+        t_stats = np.array([full_fit.t_stats[c] for c in full_fit.column_names])
+        expected = student_t_two_sided_p(t_stats, full_fit.n - full_fit.k)
+        assert list(full_fit.p_values.values()) == expected.tolist()
+        assert list(full_fit.p_values) == list(full_fit.column_names)
+
+    def test_large_scale_column_keeps_its_standard_error(self, rng):
+        """A column of scale 1e200 gets se > 0, a finite t and a p-value, without a warning.
+
+        Scaling a column by s divides its coefficient and se by s and leaves
+        its t unchanged, so the fit at scale 1 is the reference.
+        """
+        t = np.arange(1.0, 61.0)
+        c = 1.0 + rng.normal(size=60)
+        y = 10.0 + rng.normal(size=60)
+        names = ["intercept", "time", "c"]
+        reference = fit_ols(make_design(np.column_stack([np.ones(60), t, c]), y, names))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_ols(make_design(np.column_stack([np.ones(60), t, 1e200 * c]), y, names))
+        assert fit.standard_errors["c"] > 0.0
+        assert math.isfinite(fit.t_stats["c"]) and 0.0 <= fit.p_values["c"] <= 1.0
+        assert fit.standard_errors["c"] * 1e200 == pytest.approx(reference.standard_errors["c"],
+                                                                 rel=1e-12)
+        assert fit.t_stats["c"] == pytest.approx(reference.t_stats["c"], rel=1e-12)
+
+
+class TestLinearPredictor:
+    """Each row's sum runs over its columns in order, whatever the layout and the other rows."""
+
+    @pytest.mark.parametrize("extra", [0, 2, 5], ids=["k7", "k9", "k12"])
+    def test_same_bits_in_either_layout_and_row_by_row(self, full_design, rng, extra):
+        matrix = np.column_stack([full_design.matrix, rng.normal(size=(full_design.n, extra))])
+        beta = rng.normal(size=matrix.shape[1]) * 10.0 ** rng.uniform(-3, 3, matrix.shape[1])
+        by_rows = np.ascontiguousarray(matrix)
+        by_columns = np.asfortranarray(matrix)
+        expected = linear_predictor(by_rows, beta)
+        assert np.array_equal(linear_predictor(by_columns, beta), expected)
+        assert [linear_predictor(by_columns[i : i + 1], beta)[0] for i in range(len(matrix))] \
+            == expected.tolist()
+
+    def test_no_columns_predict_zero(self):
+        assert linear_predictor(np.empty((4, 0)), np.empty(0)).tolist() == [0.0] * 4
 
 
 class TestCaseStudyRegression:
@@ -235,6 +341,14 @@ class TestNonFiniteRss:
         y = 2e156 + 1e155 * rng.normal(size=40)
         with pytest.raises(FitError, match="outcome is too large"):
             fit_ols(self.design(y))
+
+    def test_outcome_near_the_largest_float_is_refused_without_a_warning(self, rng):
+        """Overflow in the solve itself is left to the RSS check, which names its cause."""
+        y = 1.7e308 * (0.5 + 0.1 * rng.normal(size=40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="^the outcome is too large"):
+                fit_ols(self.design(y))
 
     def test_largest_outcome_with_a_finite_rss_fits(self, rng):
         y = 1e150 * (1.0 + rng.normal(size=40))
