@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .diagnostics import ljung_box
+from .diagnostics import ljung_box_statistic
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
 from .ols import EPS, check_rank, check_rss, dependent_columns, exact_fit_bound
@@ -271,15 +271,20 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     covariances = sigma2 * _inverse(rss_hessian - 2.0 * outer / (ne * sigma2))
     stationary = _stationary(theta[:, big_k:])
     fitted = y[cond:] - e
+    diagonals = np.diagonal(covariances, axis1=1, axis2=2)
+    undefined = np.any((diagonals <= 0) & active, axis=1)  # a variance <= 0 on a member's own slot
+    kept = active[:, :, None] & active[:, None, :]
+    finite = np.all(np.isfinite(covariances) | ~kept, axis=(1, 2)) & ~undefined  # else its se is NaN
+    se_rows = np.sqrt(np.where(finite[:, None] & active, diagonals, math.nan)).tolist()
+    theta_rows, rss_list = theta.tolist(), rss.tolist()
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns
         k = len(names)
-        keep = np.flatnonzero(active[i])
-        covariance = covariances[i][np.ix_(keep, keep)]
-        if np.any(np.diag(covariance) <= 0):
+        keep = [*range(k), *range(big_k, big_k + p)]
+        covariance = covariances[i].take(keep, axis=0).take(keep, axis=1)
+        if undefined[i]:
             covariance = np.full((k + p, k + p), math.nan)
-        se = np.sqrt(np.diag(covariance)) if np.all(np.isfinite(covariance)) else np.full(k + p, math.nan)
         se_names = list(names) + [f"phi{j}" for j in range(1, p + 1)]
         if not stationary[i]:
             warnings.warn(
@@ -287,14 +292,14 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 "estimates may be unstable",
                 stacklevel=3,
             )
-        rss_i = float(rss[i])
+        rss_i = rss_list[i]
         fits.append(
             ArxFit(
                 order=p,
                 exogenous_columns=names,
-                phi=tuple(theta[i, big_k : big_k + p].tolist()),
-                coefficients=dict(zip(names, theta[i, :k].tolist())),
-                standard_errors=dict(zip(se_names, se.tolist())),
+                phi=tuple(theta_rows[i][big_k : big_k + p]),
+                coefficients=dict(zip(names, theta_rows[i][:k])),
+                standard_errors=dict(zip(se_names, [se_rows[i][j] for j in keep])),
                 covariance=covariance,
                 sigma2=rss_i / ne,
                 deviance=ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0),
@@ -375,8 +380,9 @@ def select_baseline(
     comparable, then ranked by BIC among fits whose residuals pass a
     Ljung-Box whiteness check (WHITENESS_LAGS lags, p > WHITENESS_ALPHA).
     The whole grid is fitted as one stack, each candidate to the result
-    `fit_arx` gives it alone. The winner is refit on its own natural
-    window before being returned.
+    `fit_arx` gives it alone, and scored in one Ljung-Box pass, each to
+    the p-value `ljung_box` gives it alone. The winner is refit on its own
+    natural window before being returned.
     """
     if max_order < 0:
         raise FitError(f"max_order must be non-negative, got {max_order}")
@@ -395,12 +401,15 @@ def select_baseline(
                        f"{2 * WHITENESS_LAGS}")
     specs = [ArxSpec(order, tuple(columns))
              for columns in candidate_exogenous for order in range(max_order + 1)]
+    fits = _fit_stack(design, specs, max_order)
+    residuals = np.reshape([fit.residuals for fit in fits if fit.order < WHITENESS_LAGS], (-1, n_common))
+    q = iter(ljung_box_statistic(residuals, WHITENESS_LAGS).tolist())  # one per order below the lags
     trace: list[CandidateRecord] = []
-    for fit in _fit_stack(design, specs, max_order):
+    for fit in fits:
         bic = fit.deviance + fit.param_count * math.log(n_common)
         whiteness_p = math.nan
         if WHITENESS_LAGS > fit.order:
-            whiteness_p = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order).p_value
+            whiteness_p = chi_square_sf(next(q), WHITENESS_LAGS - fit.order)
         admissible = fit.converged and whiteness_p > WHITENESS_ALPHA
         trace.append(CandidateRecord(fit, bic, whiteness_p, admissible))
 

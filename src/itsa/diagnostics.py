@@ -39,10 +39,15 @@ class LjungBoxResult:
 
 
 def durbin_watson(residuals) -> float:
-    """d = sum of squared first differences over the residual sum of squares."""
+    """d = sum of squared first differences over the residual sum of squares.
+
+    d does not depend on the residuals' scale, so they are first scaled by a power of two
+    (exactly) to a largest magnitude in [0.5, 1): neither sum overflows at any finite scale.
+    """
     e = np.asarray(residuals, dtype=float)
     if len(e) < 2:
         raise FitError(f"need at least 2 residuals, got {len(e)}")
+    e = np.ldexp(e, -np.frexp(np.abs(e).max())[1])
     denom = float(e @ e)
     if denom == 0.0:
         raise FitError("Durbin-Watson is undefined for all-zero residuals")
@@ -79,22 +84,33 @@ def dw_p_value(d: float, design: DesignMatrix) -> DwResult:
 
 
 def _autocorrelations(series, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations at lags 1..max_lag (biased 1/n denominator)."""
+    """Sample autocorrelations at lags 1..max_lag (biased 1/n denominator) of each series on the
+    last axis, each lag summed one row at a time: a row of a stack gets the bits it gets alone."""
     y = np.asarray(series, dtype=float)
-    n = len(y)
+    n = y.shape[-1]
     if not 1 <= max_lag < n:
         raise FitError(f"max_lag must lie in [1, {n - 1}], got {max_lag}")
-    yc = y - y.mean()
-    denom = float(yc @ yc)
-    if denom == 0.0:
+    yc = y - y.mean(axis=-1, keepdims=True)
+    denom = np.vecdot(yc, yc)
+    if (denom == 0.0).any():
         raise FitError("autocorrelation is undefined for a constant series")
-    return np.array([yc[h:] @ yc[:-h] for h in range(1, max_lag + 1)]) / denom
+    sums = np.empty((*y.shape[:-1], max_lag))
+    for h in range(1, max_lag + 1):
+        sums[..., h - 1] = np.vecdot(yc[..., h:], yc[..., :-h])
+    return sums / denom[..., None]
 
 
 def acf(series, max_lag: int) -> AcfResult:
     """Sample autocorrelations at lags 1..max_lag with the 95% white-noise band."""
     corr = _autocorrelations(series, max_lag)
     return AcfResult(tuple(corr.tolist()), band=normal_quantile(0.975) / len(series) ** 0.5)
+
+
+def ljung_box_statistic(residuals, lags: int) -> np.ndarray:
+    """Q = n(n + 2) sum_h r_h^2 / (n - h), h = 1..lags, of each series on the last axis."""
+    n = np.shape(residuals)[-1]
+    h = np.arange(1, lags + 1)
+    return n * (n + 2) * np.sum(_autocorrelations(residuals, lags) ** 2 / (n - h), axis=-1)
 
 
 def ljung_box(residuals, lags: int, fitted_params: int = 0) -> LjungBoxResult:
@@ -107,8 +123,7 @@ def ljung_box(residuals, lags: int, fitted_params: int = 0) -> LjungBoxResult:
         raise FitError(f"need lags > fitted_params, got lags={lags}, fitted_params={fitted_params}")
     if lags >= n / 2:
         raise FitError(f"need lags < n/2, got lags={lags} with n={n}")
-    r = _autocorrelations(e, lags)
-    h = np.arange(1, lags + 1)
-    q = float(n * (n + 2) * np.sum(r**2 / (n - h)))
+    q = float(ljung_box_statistic(e, lags))
     df = lags - fitted_params
     return LjungBoxResult(statistic=q, df=df, p_value=chi_square_sf(q, df))
+

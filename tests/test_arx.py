@@ -8,6 +8,7 @@ import pytest
 import itsa
 from itsa.arx import (
     MAX_ITERATIONS,
+    WHITENESS_ALPHA,
     WHITENESS_LAGS,
     ArxSpec,
     _fit_stack,
@@ -19,6 +20,7 @@ from itsa.arx import (
     select_baseline,
 )
 from itsa.cli import _candidate_sets
+from itsa.diagnostics import ljung_box
 from itsa.errors import FitError
 from itsa.ols import fit_ols, gaussian_deviance
 
@@ -501,6 +503,42 @@ class TestStackedFits:
                 assert fit.stop_reason == "max_iterations"
                 assert not fit.converged
 
+    def test_undefined_covariance_stays_with_its_member(self, cli_grid, monkeypatch):
+        """Only a variance <= 0 or a non-finite entry on a member's own slots empties its records.
+
+        Slots: intercept, admissions, discharges, occupancy, then phi1..phi3; member 4c + p is
+        column set c at order p.
+        """
+        design, specs = cli_grid
+        inverse = itsa.arx._inverse
+
+        def patched(a):
+            out = inverse(a)
+            out[5, 1, 1] = -1.0  # ARX(1) intercept+admissions: its admissions variance
+            out[0, 2, 2] = -1.0  # ARX(0) intercept: a slot it lacks
+            out[10, 0, 4] = math.inf  # ARX(2) intercept+discharges: its (intercept, phi1) entry
+            out[12, 2, 3] = math.nan  # ARX(0) intercept+occupancy: slots it lacks
+            return out
+
+        monkeypatch.setattr("itsa.arx._inverse", patched)
+        fits = _fit_stack(design, specs, 3)
+        monkeypatch.undo()
+        for i, (spec, stacked) in enumerate(zip(specs, fits)):
+            alone = fit_arx(design, spec, conditioning=3)
+            size = len(spec.exogenous_columns) + spec.order
+            assert stacked.covariance.shape == (size, size)
+            assert list(stacked.standard_errors) == list(alone.standard_errors)
+            assert stacked.deviance == pytest.approx(alone.deviance, rel=1e-12, abs=0.0)
+            if i == 5:
+                assert np.isnan(stacked.covariance).all()
+                assert all(math.isnan(se) for se in stacked.standard_errors.values())
+            elif i == 10:
+                assert stacked.covariance[0, 2] == math.inf
+                assert all(math.isnan(se) for se in stacked.standard_errors.values())
+            else:
+                self.assert_same_fit(stacked, alone)
+                assert stacked.covariance == pytest.approx(alone.covariance, rel=1e-9)
+
     def test_nonstationary_member_warns_once(self, rng):
         n = 120
         y = np.empty(n)  # mildly explosive autoregression
@@ -690,6 +728,30 @@ class TestSelectBaseline:
             assert math.isnan(record.whiteness_p) == (record.fit.order >= WHITENESS_LAGS)
             if math.isnan(record.whiteness_p):
                 assert not record.admissible
+
+    @pytest.mark.parametrize("grid", ["cli", "seeded", "orders_past_the_lags"])
+    def test_whiteness_p_is_each_fits_own_ljung_box(self, grid, case_study, occupancy_design):
+        """The grid is scored in one pass; each p is still its fit's own `ljung_box`, bit for bit."""
+        if grid == "cli":
+            confounders = ("admissions", "discharges", "occupancy")
+            design = itsa.build_design(case_study, itsa.InterventionSpec(53), list(confounders))
+            result = select_baseline(design, 3, _candidate_sets(confounders))
+            assert len(result.trace) == 20
+        elif grid == "seeded":
+            x, y = simulate_arx1(np.random.default_rng(7), 150, 2.0, 0.5, 0.4)
+            design = make_design(np.column_stack([np.ones(150), x]), y, ["intercept", "x"])
+            result = select_baseline(design, 4, [("intercept",), ("intercept", "x")])
+        else:  # orders 10 and 11 leave no whiteness lags, between scored members
+            result = select_baseline(occupancy_design, 11, [("intercept",), ("intercept", "occupancy")])
+        for record in result.trace:
+            fit = record.fit
+            if fit.order >= WHITENESS_LAGS:
+                assert math.isnan(record.whiteness_p) and not record.admissible
+                continue
+            lone = ljung_box(fit.residuals, WHITENESS_LAGS, fitted_params=fit.order)
+            assert record.whiteness_p == lone.p_value
+            assert record.admissible == (fit.converged and lone.p_value > WHITENESS_ALPHA)
+        assert {record.admissible for record in result.trace} == {True, False}
 
     def test_nan_outcome_is_named(self, occupancy_design):
         """Not every member stopping after 0 steps, which read as no white candidate."""

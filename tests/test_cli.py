@@ -287,6 +287,17 @@ class TestDiagnoseCommand:
         assert (code, text) == (1, "")
         assert "the fit is exact" in capsys.readouterr().err
 
+    def test_residuals_near_1e153_exit_0(self, tmp_path, capsys):
+        """Their sum of squared differences overflowed: an overflow warning, then an error."""
+        path = tmp_path / "alternating.csv"
+        rows = "".join(f"{w},{(1.2e153 if w % 2 else -1.2e153) + 1e150 * w!r}\n" for w in range(1, 61))
+        path.write_text("week,y\n" + rows)
+        argv = ["diagnose", "--data", str(path), "--intervention-week", "30", "--format", "json"]
+        code, text = invoke(argv)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert strict_json(text)["dw"]["stat"] == pytest.approx(3.9333, abs=1e-4)
+
     def test_table_output(self):
         code, text = invoke(["diagnose", *CASE_STUDY_FLAGS])
         assert code == 0

@@ -3,7 +3,14 @@ import pytest
 
 import itsa
 from itsa.arx import ArxSpec, fit_arx
-from itsa.diagnostics import acf, durbin_watson, dw_p_value, ljung_box
+from itsa.diagnostics import (
+    _autocorrelations,
+    acf,
+    durbin_watson,
+    dw_p_value,
+    ljung_box,
+    ljung_box_statistic,
+)
 from itsa.errors import FitError
 from itsa.ols import fit_ols
 
@@ -47,6 +54,15 @@ class TestDurbinWatsonStatistic:
     def test_too_short(self):
         with pytest.raises(FitError, match="at least 2"):
             durbin_watson([1.0])
+
+    def test_any_finite_scale(self, rng):
+        """d does not depend on scale; its sums of squares overflowed at 2**510, underflowed at 2**-540."""
+        e = rng.normal(size=60)
+        for scale in (2.0**510, 2.0**-540):  # exact scalings
+            assert durbin_watson(e * scale) == durbin_watson(e)
+        assert durbin_watson(e * 1e300) == pytest.approx(durbin_watson(e), rel=1e-14, abs=0.0)
+        alternating = np.tile([1.2e153, -1.2e153], 30) + 1e150 * np.arange(60)
+        assert durbin_watson(alternating) == pytest.approx(3.93, abs=0.01)
 
     def test_bounded_between_0_and_4(self, rng):
         for _ in range(50):
@@ -214,3 +230,30 @@ class TestLjungBox:
         fit = fit_arx(design, spec)
         result = ljung_box(fit.residuals, 10, fitted_params=2)
         assert result.p_value > 0.05
+
+
+class TestStackedStatistics:
+    """A stack of series on the last axis: each row gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("shape", [(20, 111), (3, 156), (1, 40), (2, 3, 50)])
+    def test_rows_equal_lone_series(self, rng, shape):
+        stack = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=(*shape[:-1], 1))
+        rows = stack.reshape(-1, shape[-1])
+        corr = _autocorrelations(stack, 10).reshape(len(rows), 10)
+        q = ljung_box_statistic(stack, 10).reshape(len(rows))
+        for i, row in enumerate(rows):
+            assert corr[i].tobytes() == _autocorrelations(row, 10).tobytes()
+            assert acf(row, 10).correlations == tuple(corr[i].tolist())
+            assert q[i] == ljung_box(row, 10).statistic
+
+    def test_a_constant_row_raises_as_it_does_alone(self, rng):
+        stack = rng.normal(size=(4, 60))
+        stack[2] = 7.5
+        with pytest.raises(FitError, match="^autocorrelation is undefined for a constant series$"):
+            ljung_box(stack[2], 10)
+        with pytest.raises(FitError, match="^autocorrelation is undefined for a constant series$"):
+            ljung_box_statistic(stack, 10)
+
+    def test_lag_bounds_on_a_stack(self, rng):
+        with pytest.raises(FitError, match=r"max_lag must lie in \[1, 9\], got 10"):
+            _autocorrelations(rng.normal(size=(3, 10)), 10)
