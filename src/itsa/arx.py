@@ -173,6 +173,9 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         active[i, :k] = True
         active[i, big_k : big_k + p] = True
     pad = np.eye(q) * ~active[:, None, :]  # D: a unit row per absent slot
+    # each column scaled by a power of two, which is exact, to below 1, so that R'R cannot overflow
+    shift = np.pad(np.frexp(np.abs(x).max(axis=-1))[1], ((0, 0), (0, big_p)))  # 0 on the lag slots
+    x = np.ldexp(x, -shift[:, :big_k, None])
 
     # the plain-OLS start, from the R factor of [X; D | y; 0]
     stacked = np.zeros((m, big_k + 1, n + big_k))
@@ -275,8 +278,11 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     undefined = np.any((diagonals <= 0) & active, axis=1)  # a variance <= 0 on a member's own slot
     kept = active[:, :, None] & active[:, None, :]
     finite = np.all(np.isfinite(covariances) | ~kept, axis=(1, 2)) & ~undefined  # else its se is NaN
-    se_rows = np.sqrt(np.where(finite[:, None] & active, diagonals, math.nan)).tolist()
-    theta_rows, rss_list = theta.tolist(), rss.tolist()
+    # back to the columns' own scales, where a covariance entry, a square, leaves the float range first
+    se_rows = np.ldexp(np.sqrt(np.where(finite[:, None] & active, diagonals, math.nan)), -shift).tolist()
+    with np.errstate(over="ignore"):
+        covariances = np.ldexp(covariances, -shift[:, :, None] - shift[:, None, :])
+    theta_rows, rss_list = np.ldexp(theta, -shift).tolist(), rss.tolist()
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
@@ -224,15 +225,10 @@ def parse_csv(source, intervention_week: int | None = None) -> TimeSeriesDataset
     )
 
 
+@functools.cache
 def load_case_study() -> TimeSeriesDataset:
-    """Return the packaged 114-week OR-holds dataset."""
-    rows = np.array(_case_study.CASE_STUDY_ROWS, dtype=float)
-    return TimeSeriesDataset(
-        weeks=rows[:, 0],
-        values=rows[:, 1:],
-        outcome_name=_case_study.OUTCOME_NAME,
-        covariate_names=_case_study.COVARIATE_NAMES,
-    )
+    """The packaged 114-week OR-holds dataset, parsed once from its CSV text; every call shares it."""
+    return parse_csv(_case_study.CSV)
 
 
 def summarize(dataset: TimeSeriesDataset, split_week: int) -> SegmentSummary:

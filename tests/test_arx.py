@@ -694,6 +694,28 @@ class TestSelectBaseline:
         bics = [c.bic for c in result.trace]
         assert bics == sorted(bics)
 
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_selection_does_not_depend_on_a_column_scale(self, exponent):
+        """Scaling c by 2^s scales its coefficient and se by exactly 2^-s, with no warning.
+
+        Above about 1e154 a column's squares overflow, which used to stop every +c member at its
+        start; below about 1e-154 they underflow, which used to leave c's se NaN.
+        """
+        rng = np.random.default_rng(3)
+        y, c = 10.0 + rng.normal(size=60), 1.0 + rng.normal(size=60)
+        traces = []
+        for scale in (1.0, 2.0**exponent):
+            design = make_design(np.column_stack([np.ones(60), c * scale]), y, ["intercept", "c"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traces.append(select_baseline(design, 3, [("intercept", "c")]).trace)
+        for plain, scaled in zip(*traces):
+            assert scaled.fit.label == plain.fit.label
+            assert scaled.fit.converged and scaled.admissible and plain.admissible
+            assert scaled.fit.deviance == pytest.approx(plain.fit.deviance, rel=1e-12)
+            assert scaled.fit.coefficients["c"] == plain.fit.coefficients["c"] * 2.0**-exponent
+            assert scaled.fit.standard_errors["c"] == plain.fit.standard_errors["c"] * 2.0**-exponent
+
     def test_single_candidate_grid(self, occupancy_design):
         result = select_baseline(
             occupancy_design, max_order=2, candidate_exogenous=[("intercept", "occupancy")]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import itsa
-from itsa._case_study import CASE_STUDY_ROWS
+from itsa import _case_study
 from itsa.dataset import TimeSeriesDataset, parse_csv, summarize
 from itsa.errors import DataError
 
@@ -183,9 +183,9 @@ class TestToCsv:
 
 
 class TestInvariants:
-    def test_case_study_meets_its_plausibility_bounds(self):
-        rows = np.array(CASE_STUDY_ROWS, dtype=float)
-        weeks, holds, occupancy, discharges, admissions = rows.T
+    def test_case_study_meets_its_plausibility_bounds(self, case_study):
+        weeks = case_study.weeks
+        holds, occupancy, discharges, admissions = case_study.values.T
         assert np.all(weeks >= 1)
         assert np.all(holds >= 0)
         assert np.all((occupancy >= 0) & (occupancy <= 100))
@@ -304,11 +304,17 @@ def test_not_equal_to_another_type():
     assert (itsa.load_case_study() == 5) is False
 
 
-def test_load_case_study_is_fresh_each_call():
+def test_load_case_study_is_shared_read_only():
     a = itsa.load_case_study()
-    b = itsa.load_case_study()
-    assert a == b
-    assert a is not b
+    assert a == itsa.load_case_study()
+    assert not a.weeks.flags.writeable
+    assert not a.values.flags.writeable
+
+
+def test_case_study_text_is_its_own_csv():
+    sink = io.StringIO()
+    itsa.load_case_study().to_csv(sink)
+    assert sink.getvalue() == _case_study.CSV
 
 
 @settings(deadline=None)
