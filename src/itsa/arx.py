@@ -64,7 +64,7 @@ class ArxFit:
     phi: tuple[float, ...]
     coefficients: dict[str, float]  # the exogenous coefficients by name
     standard_errors: dict[str, float]  # keys: exogenous names and "phi1".."phip"
-    covariance: np.ndarray  # inverse observed information, order (exogenous..., phi...)
+    covariance_factor: np.ndarray  # F F' is the inverse observed information, order (exogenous..., phi...)
     sigma2: float
     deviance: float  # -2 x conditional log-likelihood at the profiled sigma2
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
@@ -122,8 +122,8 @@ def fit_arx(design: DesignMatrix, spec: ArxSpec, conditioning: int | None = None
     held fixed and the innovation variance is profiled out, so the
     estimate minimizes the residual sum of squares, which is bilinear in
     beta and phi. It is found by safeguarded Newton steps from the plain-OLS
-    starting point, and the covariance is the inverse of the exact Hessian of
-    the profiled negative log-likelihood. Nonconvergence is reported through
+    starting point, and the covariance factor F has F F' the inverse of the exact
+    Hessian of the profiled negative log-likelihood. Nonconvergence is reported through
     the `converged` flag, not silently ignored.
     """
     return _fit_stack(design, [spec], spec.order if conditioning is None else conditioning)[0]
@@ -267,30 +267,22 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     theta, e, rss, iterations, offset, stuck, rss_hessian, minus_g = map(np.array, zip(*final))
     stop_reasons = np.where(stuck, "no_descent",
                             np.where(offset <= STOP_TOLERANCE, "offset", "max_iterations")).tolist()
-    # exact Hessian of the profiled negative log-likelihood, identity/sigma2 on the absent block,
-    # inverted with sigma2 factored out, so that a tiny sigma2 neither overflows nor underflows it
-    sigma2 = (rss / ne)[:, None, None]
-    outer = minus_g[:, :, None] * minus_g[:, None, :]
-    covariances = sigma2 * _inverse(rss_hessian - 2.0 * outer / (ne * sigma2))
+    # sigma2 times the exact Hessian of the profiled negative log-likelihood is J'J + C - 2 w w' for
+    # w = J'e / sqrt(rss) (identity on the absent block); with U its Cholesky factor, F = sigma U^-1,
+    # rows scaled back to the columns' scales. Neither sigma2 nor J'e is squared to overflow or underflow.
+    w = minus_g / np.sqrt(rss)[:, None]
+    information = rss_hessian - 2.0 * w[:, :, None] * w[:, None, :]
+    factors = np.ldexp(np.sqrt(rss / ne)[:, None, None] * _inverse_factor(information), -shift[:, :, None])
     stationary = _stationary(theta[:, big_k:])
     fitted = y[cond:] - e
-    diagonals = np.diagonal(covariances, axis1=1, axis2=2)
-    undefined = np.any((diagonals <= 0) & active, axis=1)  # a variance <= 0 on a member's own slot
-    kept = active[:, :, None] & active[:, None, :]
-    finite = np.all(np.isfinite(covariances) | ~kept, axis=(1, 2)) & ~undefined  # else its se is NaN
-    # back to the columns' own scales, where a covariance entry, a square, leaves the float range first
-    se_rows = np.ldexp(np.sqrt(np.where(finite[:, None] & active, diagonals, math.nan)), -shift).tolist()
-    with np.errstate(over="ignore"):
-        covariances = np.ldexp(covariances, -shift[:, :, None] - shift[:, None, :])
     theta_rows, rss_list = np.ldexp(theta, -shift).tolist(), rss.tolist()
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns
         k = len(names)
         keep = [*range(k), *range(big_k, big_k + p)]
-        covariance = covariances[i].take(keep, axis=0).take(keep, axis=1)
-        if undefined[i]:
-            covariance = np.full((k + p, k + p), math.nan)
+        factor = factors[i].take(keep, axis=0).take(keep, axis=1)  # own slots; its rows are 0 elsewhere
+        se = np.hypot.reduce(factor, axis=1) if np.isfinite(factor).all() else np.full(k + p, math.nan)
         se_names = list(names) + [f"phi{j}" for j in range(1, p + 1)]
         if not stationary[i]:
             warnings.warn(
@@ -305,8 +297,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 exogenous_columns=names,
                 phi=tuple(theta_rows[i][big_k : big_k + p]),
                 coefficients=dict(zip(names, theta_rows[i][:k])),
-                standard_errors=dict(zip(se_names, [se_rows[i][j] for j in keep])),
-                covariance=covariance,
+                standard_errors=dict(zip(se_names, se.tolist())),
+                covariance_factor=factor,
                 sigma2=rss_i / ne,
                 deviance=ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0),
                 residuals=e[i],
@@ -336,14 +328,14 @@ def _step(hessian: np.ndarray, minus_g: np.ndarray, r: np.ndarray, qte: np.ndarr
         return None if dependent_columns(r).any() else np.linalg.solve(r, qte)
 
 
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix in the stack; all NaN for one that is singular."""
+def _inverse_factor(a: np.ndarray) -> np.ndarray:
+    """U^-1 for U the upper Cholesky factor of each matrix in the stack; all NaN where it has none."""
     try:
-        return np.linalg.inv(a)
+        return np.linalg.inv(np.linalg.cholesky(a, upper=True))  # a triangular inverse
     except np.linalg.LinAlgError:
         if a.ndim == 2:
             return np.full_like(a, math.nan)
-        return np.stack([_inverse(one) for one in a])
+        return np.stack([_inverse_factor(one) for one in a])
 
 
 def _lagged(z: np.ndarray, p: int, cond: int) -> np.ndarray:

@@ -4,8 +4,8 @@ The counterfactual series is the model's projection with the
 intervention columns zeroed everywhere; the effect at a week is the
 difference between the fitted and counterfactual values, reported in
 absolute terms and as a percentage of the counterfactual. Confidence
-intervals on the percentage come from a first-order delta method over
-the joint coefficient covariance.
+intervals on the percentage come from a first-order delta method: the
+se of a gradient h is |h F|, with F F' the fit's coefficient covariance.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ class EffectSeries:
 
 
 def _model_matrices(fit, design: DesignMatrix):
-    """Coefficients, covariance, method tag, model matrix, and its intervention-column mask.
+    """Coefficients, their rows of F, method tag, model matrix, and its intervention-column mask.
 
     An effect is what the fit's intervention terms add, so a fit with none is refused.
     """
-    names = tuple(fit.coefficients)  # OLS and ARX fits alike: covariance has this block first
+    names = tuple(fit.coefficients)  # OLS and ARX fits alike: the factor has these rows first
     k = len(names)
     intervention_columns = design.intervention_columns
     intervention = np.array([name in intervention_columns for name in names])
@@ -64,7 +64,7 @@ def _model_matrices(fit, design: DesignMatrix):
         raise DesignError(f"an effect needs a fit with an intervention term, but none of its "
                           f"coefficients {list(names)} is an intervention column of the design")
     method = "ols" if isinstance(fit, OlsFit) else "arx"
-    return fit.beta, fit.covariance[:k, :k], method, design.columns(names), intervention
+    return fit.beta, fit.covariance_factor[:k], method, design.columns(names), intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
@@ -82,7 +82,7 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
     """
     if not 0.0 < ci_level < 1.0:
         raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
-    beta, cov, method, model, intervention = _model_matrices(fit, design)
+    beta, factor, method, model, intervention = _model_matrices(fit, design)
     rows = np.asarray(rows, dtype=int)
     model_rows = model[rows]
     cf_rows = np.where(intervention, 0.0, model_rows)  # intervention columns zeroed
@@ -94,12 +94,12 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
     defined = ~pre & (cf > 0)  # relative change needs a positive counterfactual
     absolute = np.where(pre, 0.0, linear_predictor(intervention_part, beta))
 
-    # delta method: d/dbeta of 100 (a'b) / (c'b) is 100 h / (c'b) with h = a - (a'b) / (c'b) c,
-    # so the se divides by c'b once, after the quadratic form, where a tiny c'b can neither
-    # underflow nor overflow it; 1.0 stands in for c'b where the relative change is undefined
+    # delta method: d/dbeta of 100 (a'b) / (c'b) is 100 h / (c'b) with h = a - (a'b) / (c'b) c, whose
+    # se 100 |h F| / (c'b) no column's scale or tiny c'b can underflow or overflow; h F is summed
+    # elementwise, as BLAS's h @ F rounds a row by the others; 1.0 stands in for an undefined c'b
     c = np.where(defined, cf, 1.0)
     h = intervention_part - (absolute / c)[:, None] * cf_rows
-    se = 100.0 * np.sqrt(np.sum(h[:, :, None] * cov * h[:, None, :], axis=(1, 2))) / c
+    se = 100.0 * np.hypot.reduce(np.sum(h[:, :, None] * factor, axis=1), axis=1) / c
     relative = np.where(pre | defined, 100.0 * absolute / c, np.nan)  # pre rows: 0.0 / 1.0
     half_width = np.where(defined, normal_quantile(0.5 + ci_level / 2.0) * se, 0.0)
     tags = np.where(pre, method,

@@ -9,10 +9,10 @@ not depend on the columns' scales; the first such column is reported by
 name instead of silently producing garbage. An RSS within the rounding
 of y is an exact fit (unbounded likelihood, undefined t and p), and one
 that is not finite is refused with its cause; the ARX fits share these
-rules. Inference uses the unbiased residual variance, with standard
-errors taken as row norms of R^-1 so that a column of large scale does
-not underflow them; p-values are computed when read. The deviance uses
-the Gaussian MLE variance.
+rules. Inference uses the unbiased residual variance: the covariance is
+held as its factor F = sigma R^-1 and the standard errors are F's row
+norms, so no column's scale underflows them; p-values are computed when
+read. The deviance uses the Gaussian MLE variance.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class OlsFit:
     n: int
     k: int
     column_names: tuple[str, ...]
-    covariance: np.ndarray  # unbiased-sigma2 coefficient covariance, column order
+    covariance_factor: np.ndarray  # F with F F' the unbiased-sigma2 coefficient covariance, column order
 
     @property
     def beta(self) -> np.ndarray:
@@ -81,11 +81,8 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         residuals = y - fitted
     rss = float(np.vdot(residuals, residuals))  # unlike @, no warning when it overflows
     check_rss(rss, design, names)
-    df = n - k
-    covariance = rss / df * (r_inv @ r_inv.T)  # unbiased sigma2 (X'X)^-1; (X'X)^-1 = R^-1 R^-T
-
-    # sqrt(diag(covariance)) as sigma times R^-1's row norms: no square to underflow
-    se = math.sqrt(rss / df) * np.hypot.reduce(r_inv, axis=1)
+    factor = math.sqrt(rss / (n - k)) * r_inv  # unbiased sigma2 (X'X)^-1 = F F', as (X'X)^-1 = R^-1 R^-T
+    se = np.hypot.reduce(factor, axis=1)  # sqrt(diag(F F')) with no square to underflow
     if rss <= exact_fit_bound(y, n):  # se is rounding error, so t and p are undefined
         t_stats = np.full(k, math.nan)
         deviance = -math.inf  # the likelihood is unbounded; gaussian_deviance refuses it
@@ -104,7 +101,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
         n=n,
         k=k,
         column_names=names,
-        covariance=covariance,
+        covariance_factor=factor,
     )
 
 

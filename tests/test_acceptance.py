@@ -309,7 +309,8 @@ class TestCriterion8Properties:
         )
         fit = fit_ols(design)
         est = effect_at(fit, design, 150)
-        draws = rng.multivariate_normal(fit.beta, fit.covariance, size=100_000)
+        covariance = fit.covariance_factor @ fit.covariance_factor.T
+        draws = rng.multivariate_normal(fit.beta, covariance, size=100_000)
         ratio = 100.0 * draws[:, 1] / draws[:, 0]
         lo, hi = np.percentile(ratio, [2.5, 97.5])
         worst = max(abs(est.ci_lower - lo), abs(est.ci_upper - hi))

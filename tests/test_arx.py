@@ -283,6 +283,28 @@ class TestFitArx:
         assert not fit.stationary
 
 
+    @pytest.mark.parametrize("scale", [1e100, 2.0**400, 1e150], ids=["1e100", "2^400", "1e150"])
+    def test_outcome_scale_scales_only_beta_and_its_se(self, scale):
+        """Scaling y by s scales beta and its se by s and leaves phi and its se, with no warning.
+
+        J'e is of y's scale, so its square, which the information used to take, overflowed
+        from about 1e100 and left every se NaN.
+        """
+        rng = np.random.default_rng(3)
+        y, c = 10.0 + rng.normal(size=60), 1.0 + rng.normal(size=60)
+        x, spec = np.column_stack([np.ones(60), c]), ArxSpec(1, ("intercept", "c"))
+        plain = fit_arx(make_design(x, y, spec.exogenous_columns), spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = fit_arx(make_design(x, scale * y, spec.exogenous_columns), spec)
+        assert scaled.converged and plain.converged
+        assert scaled.phi == pytest.approx(plain.phi, rel=1e-12)
+        assert scaled.beta == pytest.approx(scale * plain.beta, rel=1e-12)
+        se = plain.standard_errors
+        expected = {name: se[name] * (1.0 if name.startswith("phi") else scale) for name in se}
+        assert scaled.standard_errors == pytest.approx(expected, rel=1e-12)
+
+
 class TestCaseStudyArx:
     def test_baseline_deviance(self, baseline_fit):
         assert baseline_fit.converged
@@ -480,7 +502,8 @@ class TestStackedFits:
         """On an exact line the intercept and the lagged errors of ARX(2) and up are dependent.
 
         Their Gauss-Newton R has a zero on its diagonal: the member takes no step and stops
-        unconverged, in the stack and alone, where the solve used to raise `LinAlgError`.
+        unconverged, in the stack and alone, where the solve used to raise `LinAlgError`. Its
+        information matrix is not positive definite, so it has no covariance factor and no se.
         """
         design = make_design(np.ones((66, 1)), 0.5 * np.arange(66.0), ["intercept"])
         specs = [ArxSpec(p, ("intercept",)) for p in range(4)]
@@ -488,9 +511,13 @@ class TestStackedFits:
             fits = _fit_stack(design, specs, 3)
         assert [(fit.stop_reason, fit.converged) for fit in fits] == [
             ("offset", True), ("max_iterations", False), ("no_descent", False), ("no_descent", False)]
-        for spec in specs[2:]:
+        for spec, stacked in zip(specs[2:], fits[2:]):
             fit = fit_arx(design, spec)
             assert (fit.stop_reason, fit.converged, fit.iterations) == ("no_descent", False, 0)
+            for member in (stacked, fit):
+                assert np.isnan(member.covariance_factor).all()
+                assert all(math.isnan(se) for se in member.standard_errors.values())
+        assert all(math.isfinite(se) for fit in fits[:2] for se in fit.standard_errors.values())
 
     def test_every_member_stops_at_the_iteration_cap(self, cli_grid, monkeypatch):
         design, specs = cli_grid
@@ -504,40 +531,41 @@ class TestStackedFits:
                 assert not fit.converged
 
     def test_undefined_covariance_stays_with_its_member(self, cli_grid, monkeypatch):
-        """Only a variance <= 0 or a non-finite entry on a member's own slots empties its records.
+        """Only a NaN factor or a non-finite factor entry on a member's own slots empties its se.
 
-        Slots: intercept, admissions, discharges, occupancy, then phi1..phi3; member 4c + p is
-        column set c at order p.
+        Slots: a member's own columns, padding up to 4 columns, then phi1..phi3; member 4c + p
+        is column set c at order p.
         """
         design, specs = cli_grid
-        inverse = itsa.arx._inverse
+        inverse_factor = itsa.arx._inverse_factor
 
         def patched(a):
-            out = inverse(a)
-            out[5, 1, 1] = -1.0  # ARX(1) intercept+admissions: its admissions variance
-            out[0, 2, 2] = -1.0  # ARX(0) intercept: a slot it lacks
+            out = inverse_factor(a)
+            out[5] = math.nan  # ARX(1) intercept+admissions: as for information not positive definite
+            out[0, 2, 2] = math.inf  # ARX(0) intercept: a slot it lacks
             out[10, 0, 4] = math.inf  # ARX(2) intercept+discharges: its (intercept, phi1) entry
-            out[12, 2, 3] = math.nan  # ARX(0) intercept+occupancy: slots it lacks
+            out[12, 2, 3] = math.nan  # ARX(0) intercept+occupancy: the row of a slot it lacks
+            out[12, 1, 3] = math.inf  # and the column of one, in its occupancy row
             return out
 
-        monkeypatch.setattr("itsa.arx._inverse", patched)
+        monkeypatch.setattr("itsa.arx._inverse_factor", patched)
         fits = _fit_stack(design, specs, 3)
         monkeypatch.undo()
         for i, (spec, stacked) in enumerate(zip(specs, fits)):
             alone = fit_arx(design, spec, conditioning=3)
             size = len(spec.exogenous_columns) + spec.order
-            assert stacked.covariance.shape == (size, size)
+            assert stacked.covariance_factor.shape == (size, size)
             assert list(stacked.standard_errors) == list(alone.standard_errors)
             assert stacked.deviance == pytest.approx(alone.deviance, rel=1e-12, abs=0.0)
             if i == 5:
-                assert np.isnan(stacked.covariance).all()
+                assert np.isnan(stacked.covariance_factor).all()
                 assert all(math.isnan(se) for se in stacked.standard_errors.values())
             elif i == 10:
-                assert stacked.covariance[0, 2] == math.inf
+                assert stacked.covariance_factor[0, 2] == math.inf
                 assert all(math.isnan(se) for se in stacked.standard_errors.values())
             else:
                 self.assert_same_fit(stacked, alone)
-                assert stacked.covariance == pytest.approx(alone.covariance, rel=1e-9)
+                assert stacked.covariance_factor == pytest.approx(alone.covariance_factor, rel=1e-9)
 
     def test_nonstationary_member_warns_once(self, rng):
         n = 120

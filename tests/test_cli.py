@@ -440,6 +440,22 @@ class TestEffectCommand:
         for e in undefined:
             assert e["relative_change"] is None and e["ci"] == [None, None]
 
+    def test_ci_does_not_depend_on_a_column_scale(self, tmp_path, capsys):
+        """c x 1e-200 gives scale 1's CI with nothing on stderr, where the covariance overflowed."""
+        rng = np.random.default_rng(0)
+        y, c = 10.0 + rng.normal(size=60), 1.0 + rng.normal(size=60)
+        cis = []
+        for scale in (1.0, 1e-200):
+            path = tmp_path / "scaled.csv"
+            path.write_text("week,y,c\n" + "".join(
+                f"{w},{v!r},{scale * u!r}\n" for w, v, u in zip(range(1, 61), y.tolist(), c.tolist())))
+            code, text = invoke(["effect", "--data", str(path), "--intervention-week", "30",
+                                 "--confounders", "c", "--week", "45", "--format", "json"])
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            cis.append(strict_json(text)["ci"])
+        assert cis[1] == pytest.approx(cis[0], rel=1e-12, abs=0.0)
+
     def test_week_out_of_range_exits_1(self, capsys):
         code, _ = invoke(["effect", *CASE_STUDY_FLAGS, "--week", "999"])
         assert code == 1

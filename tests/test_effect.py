@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,7 +166,8 @@ class TestEffectAt:
         fit = fit_ols(design)
         est = effect_at(fit, design, 150)
 
-        draws = rng.multivariate_normal(fit.beta, fit.covariance, size=100_000)
+        covariance = fit.covariance_factor @ fit.covariance_factor.T
+        draws = rng.multivariate_normal(fit.beta, covariance, size=100_000)
         ratio = 100.0 * draws[:, 1] / draws[:, 0]
         lo, hi = np.percentile(ratio, [2.5, 97.5])
         assert est.ci_lower == pytest.approx(lo, abs=1.0)
@@ -242,6 +244,41 @@ class TestCaseStudyEffect:
         assert est.method == "arx:delta"
         assert est.absolute_change == pytest.approx(fit.coefficients["intervention"], abs=1e-9)
         assert est.ci_lower < est.relative_change < est.ci_upper < 0
+
+
+class TestColumnScale:
+    """A confounder's scale moves neither the effect nor its CI, and warns of nothing.
+
+    The delta se is |h F|, a norm with no square in it. The series is 60 weeks of
+    y = 10 + N(0, 1) and c = 1 + N(0, 1): the covariance F F' that the CI used to
+    read underflowed at c x 1e200 and overflowed at c x 1e-200.
+    """
+
+    FITS = {
+        "ols": fit_ols,
+        "arx": lambda design: fit_arx(design, ArxSpec(1, ("intercept", "c", *design.intervention_columns))),
+    }
+
+    @staticmethod
+    def effect(fit, scale):
+        rng = np.random.default_rng(0)
+        y, c = 10.0 + rng.normal(size=60), 1.0 + rng.normal(size=60)
+        dataset = itsa.TimeSeriesDataset(np.arange(1, 61), np.column_stack([y, scale * c]), "y", ("c",))
+        design = itsa.build_design(dataset, itsa.InterventionSpec(30), ["c"])
+        return effect_at(fit(design), design, 45)
+
+    @pytest.mark.parametrize("fit, scale", [
+        *(("ols", scale) for scale in (2.0**600, 2.0**-600, 1e200, 1e-200)),
+        ("arx", 2.0**600), ("arx", 2.0**-600),
+    ], ids=["ols-2^600", "ols-2^-600", "ols-1e200", "ols-1e-200", "arx-2^600", "arx-2^-600"])
+    def test_ci_does_not_depend_on_a_column_scale(self, fit, scale):
+        plain = self.effect(self.FITS[fit], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = self.effect(self.FITS[fit], scale)
+        assert scaled.method == plain.method == f"{fit}:delta"
+        assert (scaled.relative_change, scaled.ci_lower, scaled.ci_upper) == pytest.approx(
+            (plain.relative_change, plain.ci_lower, plain.ci_upper), rel=1e-12, abs=0.0)
 
 
 class TestEffectSeries:
@@ -333,7 +370,8 @@ class TestPerWeekReference:
     def reference(fit, design, week, ci_level):
         names = tuple(fit.coefficients)
         beta = fit.beta
-        cov = fit.covariance[:len(names), :len(names)]
+        factor = fit.covariance_factor[:len(names)]  # its coefficients' rows
+        cov = factor @ factor.T
         method = "ols" if isinstance(fit, OlsFit) else "arx"
         row = int(week - design.weeks[0])
         x = design.columns(names)[row]
