@@ -112,7 +112,8 @@ def _build_case_design(args: argparse.Namespace) -> design_mod.DesignMatrix:
 
 
 def _fmt(value: float, precision: int = COEF_PRECISION) -> str:
-    return f"{value:.{precision}f}" if math.isfinite(value) else "undefined"
+    form = "3e" if abs(value) >= 1e15 else f"{precision}f"  # .3e fits a 12-wide cell at any exponent
+    return f"{value:.{form}}" if math.isfinite(value) else "undefined"
 
 
 def _number(value: float) -> float | None:

@@ -85,8 +85,10 @@ class DesignMatrix:
         return self.matrix.T.take([self.column_index(name) for name in names], axis=0).T
 
     def subset(self, names: tuple[str, ...] | list[str]) -> "DesignMatrix":
-        """New design keeping only the named columns, in the given order."""
-        return replace(self, matrix=self.columns(names), column_names=tuple(names))
+        """New design keeping only the named columns, in the given order; its matrix is read-only."""
+        matrix = self.columns(names)
+        matrix.flags.writeable = False
+        return replace(self, matrix=matrix, column_names=tuple(names))
 
 
 def build_design(
@@ -102,7 +104,7 @@ def build_design(
     post-intervention counter is 1 at the change-point week itself and
     increments weekly. The three segment columns are the
     `dataset.DERIVED_COLUMNS` codings, which `parse_csv` checks an
-    analysis-ready file against.
+    analysis-ready file against. The matrix and weeks are read-only.
     """
     for i, name in enumerate(confounders):
         if name not in dataset.covariate_names:
@@ -121,8 +123,10 @@ def build_design(
     columns += [DERIVED_COLUMNS[name](weeks, changepoint)
                 for name in ("baseline trend", "level change", "trend change")]
     columns += [dataset.covariate(name) for name in confounders]
+    matrix = np.array(columns).T  # the transpose of a row per column: column-major
+    matrix.flags.writeable = weeks.flags.writeable = False  # so a fit's residuals, read later, hold
     return DesignMatrix(
-        matrix=np.array(columns).T,  # the transpose of a row per column: column-major
+        matrix=matrix,
         column_names=(INTERCEPT, TIME, INTERVENTION, TIME_AFTER, *confounders),
         outcome=dataset.outcome,
         weeks=weeks,
@@ -141,4 +145,5 @@ def recode_time(design: DesignMatrix, origin: int) -> DesignMatrix:
     """
     out = design.matrix.copy(order="F")
     out[:, design.column_index(TIME)] = design.weeks - origin
+    out.flags.writeable = False
     return replace(design, matrix=out)

@@ -6,19 +6,20 @@ its first k columns are X's R factor and its last is Q'y. A design is
 rank deficient when a column's distance from the span of the columns
 before it is tiny relative to the column's own norm, a test that does
 not depend on the columns' scales; the first such column is reported by
-name instead of silently producing garbage. An RSS within the rounding
-of y is an exact fit (unbounded likelihood, undefined t and p), and one
-that is not finite is refused with its cause; the ARX fits share these
-rules. Inference uses the unbiased residual variance: the covariance is
-held as its factor F = sigma R^-1 and the standard errors are F's row
-norms, so no column's scale underflows them; p-values are computed when
-read. The deviance uses the Gaussian MLE variance.
+name instead of silently producing garbage. The RSS is R[k, k]^2: one within
+the rounding of y is an exact fit (unbounded likelihood, undefined t and p),
+and one that is not finite is refused with its cause; the ARX fits share these
+rules. Inference uses the unbiased residual variance: the covariance is held as
+its factor F = sigma R^-1 and the standard errors are F's row norms, so no
+column's scale underflows them. Residuals and inference are computed on first
+read, p-values on each read. The deviance uses the Gaussian MLE variance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,23 +34,38 @@ TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit: point estimates, inference, and the deviance."""
+    """Least-squares fit of `design`: point estimates, the deviance, and inference and residuals on read."""
 
     coefficients: dict[str, float]
-    standard_errors: dict[str, float]
-    t_stats: dict[str, float]
-    residuals: np.ndarray
-    fitted: np.ndarray
     rss: float
     deviance: float  # -2 x Gaussian log-likelihood at the MLE variance RSS/n; -inf for an exact fit
     n: int
     k: int
     column_names: tuple[str, ...]
     covariance_factor: np.ndarray  # F with F F' the unbiased-sigma2 coefficient covariance, column order
+    design: DesignMatrix = field(repr=False)
 
     @property
     def beta(self) -> np.ndarray:
         return np.array([self.coefficients[c] for c in self.column_names])
+
+    @cached_property
+    def fitted(self) -> np.ndarray:
+        return linear_predictor(self.design.matrix, self.beta)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return self.design.outcome - self.fitted
+
+    @cached_property
+    def standard_errors(self) -> dict[str, float]:  # sqrt(diag(F F')) with no square to underflow
+        return dict(zip(self.column_names, np.hypot.reduce(self.covariance_factor, axis=1).tolist()))
+
+    @cached_property
+    def t_stats(self) -> dict[str, float]:  # NaN for an exact fit, whose se is rounding error
+        se = np.array(list(self.standard_errors.values()))
+        t_stats = self.beta / se if self.deviance > -math.inf else np.full(self.k, math.nan)
+        return dict(zip(self.column_names, t_stats.tolist()))
 
     @property
     def p_values(self) -> dict[str, float]:
@@ -59,10 +75,10 @@ class OlsFit:
 
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
-    """Fit the design by QR least squares with Student-t inference.
+    """Fit the design by one R-only QR of [X | y], whose R[k, k]^2 is the RSS.
 
-    Raises `FitError` naming the first column that depends linearly on the
-    columns before it, or the cause of an RSS that is not finite.
+    Raises `FitError` naming the first column that depends linearly on the columns
+    before it or has a non-finite coefficient, or the cause of an RSS that is not finite.
     """
     x, y, names = design.matrix, design.outcome, design.column_names
     n, k = x.shape
@@ -75,33 +91,26 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     check_rank(r[:k, :k], names)
 
     r_inv = np.linalg.inv(r[:k, :k])  # LU of a triangular R swaps no rows: a triangular inverse
-    with np.errstate(over="ignore", invalid="ignore"):  # check_rss names what overflowed
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below name what overflowed
         beta = r_inv @ r[:k, k]
-        fitted = linear_predictor(x, beta)
-        residuals = y - fitted
-    rss = float(np.vdot(residuals, residuals))  # unlike @, no warning when it overflows
+    rss = float(r[k, k]) * float(r[k, k])  # |R[k, k]| = |y - X beta|; a product overflows to inf where ** raises
     check_rss(rss, design, names)
+    coefficients = dict(zip(names, beta.tolist()))
+    if not all(map(math.isfinite, coefficients.values())):
+        column = next(name for name, value in coefficients.items() if not math.isfinite(value))
+        raise FitError(f"design column {column!r} is too small for the outcome: its coefficient overflows")
     factor = math.sqrt(rss / (n - k)) * r_inv  # unbiased sigma2 (X'X)^-1 = F F', as (X'X)^-1 = R^-1 R^-T
-    se = np.hypot.reduce(factor, axis=1)  # sqrt(diag(F F')) with no square to underflow
-    if rss <= exact_fit_bound(y, n):  # se is rounding error, so t and p are undefined
-        t_stats = np.full(k, math.nan)
-        deviance = -math.inf  # the likelihood is unbounded; gaussian_deviance refuses it
-    else:
-        t_stats = beta / se
-        deviance = n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
+    deviance = -math.inf if rss <= exact_fit_bound(y, n) else n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
 
     return OlsFit(
-        coefficients=dict(zip(names, beta.tolist())),
-        standard_errors=dict(zip(names, se.tolist())),
-        t_stats=dict(zip(names, t_stats.tolist())),
-        residuals=residuals,
-        fitted=fitted,
+        coefficients=coefficients,
         rss=rss,
         deviance=deviance,
         n=n,
         k=k,
         column_names=names,
         covariance_factor=factor,
+        design=design,
     )
 
 

@@ -22,6 +22,15 @@ def invoke(argv):
     return code, out.getvalue()
 
 
+def scaled_series(path, y_scale, c_scale):
+    """Write 60 weeks of y = 10 + N(0, 1) and c = 1 + N(0, 1), each scaled (default_rng(0)), to path."""
+    rng = np.random.default_rng(0)
+    y, c = y_scale * (10.0 + rng.normal(size=60)), c_scale * (1.0 + rng.normal(size=60))
+    path.write_text("week,y,c\n" + "".join(
+        f"{w},{v!r},{u!r}\n" for w, v, u in zip(range(1, 61), y.tolist(), c.tolist())))
+    return path
+
+
 def strict_json(text):
     """Parse JSON, refusing the NaN, Infinity and -Infinity tokens that are not JSON."""
     def refuse(token):
@@ -223,6 +232,25 @@ class TestFitCommand:
         assert code == 0
         header, _, *rows, _ = text.splitlines()
         assert [len(row.split()) for row in rows] == [len(header.split())] * 4
+
+    def test_huge_values_keep_the_table_columns(self, tmp_path):
+        """At y x 1e150 the cells take exponent form, and no row is wider than the header."""
+        path = scaled_series(tmp_path / "huge.csv", 1e150, 1.0)
+        code, text = invoke(["fit", "--data", str(path), "--intervention-week", "30",
+                             "--confounders", "c"])
+        assert code == 0
+        header, *rows = text.splitlines()
+        assert all(len(row) <= len(header) for row in rows), text
+        assert _fmt(-1.7976931348623157e308) == "-1.798e+308" and _fmt(1e15) == "1.000e+15"
+
+    def test_coefficient_that_overflows_names_its_column(self, tmp_path, capsys):
+        """y x 1e150 on c x 1e-200: one error line naming c, not the outcome, and no warning."""
+        path = scaled_series(tmp_path / "tiny.csv", 1e150, 1e-200)
+        code, text = invoke(["fit", "--data", str(path), "--intervention-week", "30",
+                             "--confounders", "c"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: design column 'c' is too small for the outcome: its coefficient overflows"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_undefined_number_cell(self, value):
@@ -442,13 +470,9 @@ class TestEffectCommand:
 
     def test_ci_does_not_depend_on_a_column_scale(self, tmp_path, capsys):
         """c x 1e-200 gives scale 1's CI with nothing on stderr, where the covariance overflowed."""
-        rng = np.random.default_rng(0)
-        y, c = 10.0 + rng.normal(size=60), 1.0 + rng.normal(size=60)
         cis = []
         for scale in (1.0, 1e-200):
-            path = tmp_path / "scaled.csv"
-            path.write_text("week,y,c\n" + "".join(
-                f"{w},{v!r},{scale * u!r}\n" for w, v, u in zip(range(1, 61), y.tolist(), c.tolist())))
+            path = scaled_series(tmp_path / "scaled.csv", 1.0, scale)
             code, text = invoke(["effect", "--data", str(path), "--intervention-week", "30",
                                  "--confounders", "c", "--week", "45", "--format", "json"])
             assert code == 0

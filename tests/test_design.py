@@ -202,6 +202,13 @@ class TestDesignMatrixType:
         assert start_coded.subset(names).matrix.flags.f_contiguous
         assert recode_time(start_coded, 52).matrix.flags.f_contiguous
 
+    def test_built_arrays_are_read_only(self, start_coded):
+        """build_design, subset and recode_time make arrays that a fit's residuals, read later, rely on."""
+        for array in (start_coded.matrix, start_coded.weeks, start_coded.subset(["time"]).matrix,
+                      recode_time(start_coded, 52).matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_missing_column(self, start_coded):
         with pytest.raises(DesignError, match="no column named"):
             start_coded.column("nope")

@@ -155,6 +155,9 @@ class TestSolveParity:
         for beta, rss in references:
             assert np.linalg.norm(fit.beta - beta) <= self.PARITY_RTOL * np.linalg.norm(beta)
             assert fit.rss == pytest.approx(rss, rel=self.PARITY_RTOL, abs=0)
+        # R[k, k]^2 against the squares of the residuals that the fit computes when read
+        residual_rss = float(np.vdot(fit.residuals, fit.residuals))
+        assert fit.rss == pytest.approx(residual_rss, rel=self.PARITY_RTOL, abs=0)
 
     def test_case_study(self, case_study):
         for design in self.scan(case_study, 53):
@@ -164,6 +167,30 @@ class TestSolveParity:
     def test_seeded_156_week_units(self, seed):
         for design in self.scan(*seeded_weekly_unit(seed)):
             self.assert_parity(design)
+
+    def test_zero_outcome_has_zero_rss(self, case_study):
+        for design in self.scan(case_study, 53):
+            assert fit_ols(replace(design, outcome=np.zeros(design.n))).rss == 0.0
+
+
+class TestComputedOnRead:
+    """`fit_ols` takes the RSS from R; residuals and inference are computed when first read."""
+
+    ON_READ = ("fitted", "residuals", "standard_errors", "t_stats")
+
+    def test_deviance_and_rss_compute_nothing_else(self, full_design):
+        fit = fit_ols(full_design)
+        assert math.isfinite(fit.deviance) and math.isfinite(fit.rss)
+        assert not set(self.ON_READ) & set(vars(fit))
+        assert len(fit.t_stats) == fit.k
+        assert set(self.ON_READ) - set(vars(fit)) == {"fitted", "residuals"}
+
+    def test_fitted_and_residuals_are_the_linear_predictor_bit_for_bit(self, full_design):
+        fit = fit_ols(full_design)
+        fitted = linear_predictor(full_design.matrix, fit.beta)
+        assert np.array_equal(fit.fitted, fitted)
+        assert np.array_equal(fit.residuals, full_design.outcome - fitted)
+        assert fit.residuals is fit.residuals and fit.design is full_design
 
 
 class TestInference:
@@ -349,6 +376,18 @@ class TestNonFiniteRss:
             warnings.simplefilter("error")
             with pytest.raises(FitError, match="^the outcome is too large"):
                 fit_ols(self.design(y))
+
+    def test_coefficient_that_overflows_names_its_column(self):
+        """y near 1e151 on a column near 1e-200: the RSS is finite, but beta_c near 1e350 is not."""
+        rng = np.random.default_rng(0)
+        y, c = 1e150 * (10.0 + rng.normal(size=60)), 1e-200 * (1.0 + rng.normal(size=60))
+        d = make_design(np.column_stack([np.ones(60), np.arange(1.0, 61.0), c]), y,
+                        ["intercept", "time", "c"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="^design column 'c' is too small for the outcome: "
+                                               "its coefficient overflows$"):
+                fit_ols(d)
 
     def test_largest_outcome_with_a_finite_rss_fits(self, rng):
         y = 1e150 * (1.0 + rng.normal(size=40))
