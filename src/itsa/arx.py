@@ -23,7 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box_statistic
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import EPS, check_rank, check_rss, dependent_columns, exact_fit_bound
+from .ols import EPS, check_coefficients, check_rank, check_rss, dependent_columns, exact_fit_bound
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -272,10 +272,13 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     # rows scaled back to the columns' scales. Neither sigma2 nor J'e is squared to overflow or underflow.
     w = minus_g / np.sqrt(rss)[:, None]
     information = rss_hessian - 2.0 * w[:, :, None] * w[:, None, :]
-    factors = np.ldexp(np.sqrt(rss / ne)[:, None, None] * _inverse_factor(information), -shift[:, :, None])
+    with np.errstate(over="ignore"):  # a coefficient that overflowed is refused below, a factor gets NaN se
+        factors = np.ldexp(np.sqrt(rss / ne)[:, None, None] * _inverse_factor(information), -shift[:, :, None])
+        theta_rows, rss_list = np.ldexp(theta, -shift).tolist(), rss.tolist()
+    for spec, row in zip(specs, theta_rows):
+        check_coefficients(spec.exogenous_columns, row)
     stationary = _stationary(theta[:, big_k:])
     fitted = y[cond:] - e
-    theta_rows, rss_list = np.ldexp(theta, -shift).tolist(), rss.tolist()
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns

@@ -147,12 +147,11 @@ def _cmd_summary(args) -> tuple[dict, str]:
         f"segment summary of {ds.outcome_name!r} split at week {s.split_week}",
         f"{'segment':<10}{'n':>5}{'mean':>10}{'min':>8}{'max':>8}",
     ]
-    for label, n in (("overall", s.n_before + s.n_after), ("before", s.n_before),
-                     ("after", s.n_after)):
+    for label, n in (("overall", len(ds)), ("before", s.n_before), ("after", s.n_after)):
         seg = {stat: getattr(s, f"{label}_{stat}") for stat in ("mean", "min", "max")}
         payload[label] = seg if label == "overall" else {**seg, "n": n}
-        lines.append(f"{label:<10}{' ' + str(n):>5}{' ' + format(seg['mean'], '.2f'):>10}"
-                     f"{' ' + format(seg['min'], '.1f'):>8}{' ' + format(seg['max'], '.1f'):>8}")
+        lines.append(f"{label:<10}{' ' + str(n):>5}{' ' + _fmt(seg['mean'], 2):>10}"
+                     f"{' ' + _fmt(seg['min'], 1):>8}{' ' + _fmt(seg['max'], 1):>8}")
     return payload, "\n".join(lines) + "\n"
 
 
@@ -194,11 +193,11 @@ def _cmd_diagnose(args) -> tuple[dict, str]:
     lines = [
         f"Durbin-Watson  stat={_fmt(dw.statistic)}  p={_fmt(dw.p_value, P_PRECISION)}",
         f"Ljung-Box      q={_fmt(lb.statistic)}  df={lb.df}  p={_fmt(lb.p_value, P_PRECISION)}",
-        f"ACF (white-noise band +-{residual_acf.band:.3f})",
+        f"ACF (white-noise band +-{_fmt(residual_acf.band, 3)})",
     ]
     for lag, r in enumerate(residual_acf.correlations, start=1):
         flag = " *" if abs(r) > residual_acf.band else ""
-        lines.append(f"  lag {lag:>2}  {r:>8.3f}{flag}")
+        lines.append(f"  lag {lag:>2}  {_fmt(r, 3):>8}{flag}")
     return payload, "\n".join(lines) + "\n"
 
 

@@ -236,26 +236,14 @@ def summarize(dataset: TimeSeriesDataset, split_week: int) -> SegmentSummary:
     weeks, outcome = dataset.weeks, dataset.outcome
     if not weeks[0] <= split_week <= weeks[-1]:
         raise DataError(f"split week {split_week} outside dataset range [{weeks[0]}, {weeks[-1]}]")
-    before = outcome[weeks < split_week]
-    after = outcome[weeks >= split_week]
+    before, after = outcome[weeks < split_week], outcome[weeks >= split_week]
     if not before.size or not after.size:
         raise DataError(f"split week {split_week} leaves an empty segment")
-    # fsum rounds the sum once, so a mean does not depend on the summation order
-    try:
-        overall_mean, before_mean, after_mean = (math.fsum(v) / len(v) for v in (outcome, before, after))
+    stats = {}
+    try:  # fsum rounds the sum once, so a mean does not depend on the summation order
+        for segment, values in (("overall", outcome), ("before", before), ("after", after)):
+            stats |= {f"{segment}_mean": math.fsum(values) / len(values),
+                      f"{segment}_min": float(values.min()), f"{segment}_max": float(values.max())}
     except OverflowError:
         raise DataError(f"the outcome {dataset.outcome_name!r} is too large: its sum overflows") from None
-    return SegmentSummary(
-        split_week=split_week,
-        overall_mean=overall_mean,
-        overall_min=float(outcome.min()),
-        overall_max=float(outcome.max()),
-        before_mean=before_mean,
-        before_min=float(before.min()),
-        before_max=float(before.max()),
-        after_mean=after_mean,
-        after_min=float(after.min()),
-        after_max=float(after.max()),
-        n_before=len(before),
-        n_after=len(after),
-    )
+    return SegmentSummary(split_week=split_week, **stats, n_before=len(before), n_after=len(after))

@@ -77,8 +77,8 @@ class OlsFit:
 def fit_ols(design: DesignMatrix) -> OlsFit:
     """Fit the design by one R-only QR of [X | y], whose R[k, k]^2 is the RSS.
 
-    Raises `FitError` naming the first column that depends linearly on the columns
-    before it or has a non-finite coefficient, or the cause of an RSS that is not finite.
+    Raises `FitError` naming the first column that depends linearly on the columns before it,
+    or whose coefficient, else standard error, overflows, or the cause of an RSS that is not finite.
     """
     x, y, names = design.matrix, design.outcome, design.column_names
     n, k = x.shape
@@ -91,19 +91,21 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     check_rank(r[:k, :k], names)
 
     r_inv = np.linalg.inv(r[:k, :k])  # LU of a triangular R swaps no rows: a triangular inverse
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below name what overflowed
-        beta = r_inv @ r[:k, k]
     rss = float(r[k, k]) * float(r[k, k])  # |R[k, k]| = |y - X beta|; a product overflows to inf where ** raises
     check_rss(rss, design, names)
-    coefficients = dict(zip(names, beta.tolist()))
-    if not all(map(math.isfinite, coefficients.values())):
-        column = next(name for name, value in coefficients.items() if not math.isfinite(value))
-        raise FitError(f"design column {column!r} is too small for the outcome: its coefficient overflows")
-    factor = math.sqrt(rss / (n - k)) * r_inv  # unbiased sigma2 (X'X)^-1 = F F', as (X'X)^-1 = R^-1 R^-T
+    sigma = math.sqrt(rss / (n - k))  # F = sigma R^-1: unbiased sigma2 (X'X)^-1 = F F', as (X'X)^-1 = R^-1 R^-T
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            beta, factor = r_inv @ r[:k, k], sigma * r_inv
+    except FloatingPointError:  # name the first column whose coefficient, else standard error, overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            check_coefficients(names, (r_inv @ r[:k, k]).tolist())
+            check_coefficients(names, np.hypot.reduce(sigma * r_inv, axis=1).tolist(), "standard error")
+        raise
     deviance = -math.inf if rss <= exact_fit_bound(y, n) else n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
 
     return OlsFit(
-        coefficients=coefficients,
+        coefficients=dict(zip(names, beta.tolist())),
         rss=rss,
         deviance=deviance,
         n=n,
@@ -161,6 +163,13 @@ def check_rss(rss: float, design: DesignMatrix, names) -> None:
         if not np.isfinite(values).all():
             raise FitError(f"{what} holds a non-finite value")
     raise FitError("the outcome is too large: the sum of squares of its residuals overflows")
+
+
+def check_coefficients(names, values, what: str = "coefficient") -> None:
+    """Raise `FitError` naming the first column whose coefficient (or `what`) overflowed, so is not finite."""
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise FitError(f"design column {name!r} is too small for the outcome: its {what} overflows")
 
 
 def gaussian_deviance(fit: OlsFit) -> float:

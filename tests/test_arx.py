@@ -234,6 +234,26 @@ class TestFitArx:
         with pytest.raises(FitError, match="outcome is too large"):
             fit_arx(make_design(matrix, y, ["intercept", "time"]), spec)
 
+    def test_coefficient_that_overflows_names_its_column(self):
+        """As in `fit_ols`, with no warning. y x 1e150 on c x 1e-200: the fit alone. On c x 10^-159.22:
+        the selection grid, whose ARX(0) member overflows on the common window; alone it does not,
+        and its factor, which overflows, leaves every se NaN."""
+        def design(scale):
+            rng = np.random.default_rng(0)
+            y, c = 1e150 * (10.0 + rng.normal(size=60)), scale * (1.0 + rng.normal(size=60))
+            return make_design(np.column_stack([np.ones(60), c]), y, ["intercept", "c"])
+
+        message = "^design column 'c' is too small for the outcome: its coefficient overflows$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match=message):
+                fit_arx(design(1e-200), ArxSpec(1, ("intercept", "c")))
+            with pytest.raises(FitError, match=message):
+                select_baseline(design(10**-159.22), 3, [("intercept",), ("intercept", "c")])
+            alone = fit_arx(design(10**-159.22), ArxSpec(0, ("intercept", "c")))
+        assert math.isfinite(alone.coefficients["c"])
+        assert all(math.isnan(se) for se in alone.standard_errors.values())
+
     @pytest.mark.parametrize("noise", [0.0, 0.5], ids=["exact", "noisy"])
     def test_exact_fit_rule_shared_with_fit_ols(self, rng, noise):
         """At a level of 1e6 both estimators refuse the same exact fit and score the same noisy one."""

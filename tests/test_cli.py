@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,7 +235,8 @@ class TestFitCommand:
         assert [len(row.split()) for row in rows] == [len(header.split())] * 4
 
     def test_huge_values_keep_the_table_columns(self, tmp_path):
-        """At y x 1e150 the cells take exponent form, and no row is wider than the header."""
+        """At y x 1e150 the cells take exponent form: no fit row is wider than the header, and
+        each data summary cell is .3e, parted from the one before it by a space."""
         path = scaled_series(tmp_path / "huge.csv", 1e150, 1.0)
         code, text = invoke(["fit", "--data", str(path), "--intervention-week", "30",
                              "--confounders", "c"])
@@ -242,15 +244,40 @@ class TestFitCommand:
         header, *rows = text.splitlines()
         assert all(len(row) <= len(header) for row in rows), text
         assert _fmt(-1.7976931348623157e308) == "-1.798e+308" and _fmt(1e15) == "1.000e+15"
+        code, text = invoke(["data", "summary", "--data", str(path), "--split-week", "30"])
+        assert code == 0
+        _, _, *rows = text.splitlines()
+        for row in rows:
+            _, _, *cells = row.split()
+            assert len(cells) == 3 and all(re.fullmatch(r"\d\.\d{3}e\+15\d", cell) for cell in cells), text
 
-    def test_coefficient_that_overflows_names_its_column(self, tmp_path, capsys):
-        """y x 1e150 on c x 1e-200: one error line naming c, not the outcome, and no warning."""
-        path = scaled_series(tmp_path / "tiny.csv", 1e150, 1e-200)
-        code, text = invoke(["fit", "--data", str(path), "--intervention-week", "30",
-                             "--confounders", "c"])
-        assert (code, text) == (1, "")
-        assert capsys.readouterr().err.splitlines() == [
-            "error: design column 'c' is too small for the outcome: its coefficient overflows"]
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("command", [["fit"], ["arx"], ["effect", "--week", "45"]],
+                             ids=["fit", "arx", "effect"])
+    def test_coefficient_that_overflows_names_its_column(self, tmp_path, capsys, command, fmt):
+        """y x 1e150: one error line naming c, not the outcome, and no warning, on each series.
+
+        On c x 1e-200 every coefficient of c overflows. On c x 10^-159.22 the OLS coefficient does
+        not but its standard error does, and so does the ARX(0) coefficient on the selection's
+        common window. On c = 1e-200 c0 with y = 1e150 (10 + 3 c0 + noise), the selected ARX
+        baseline's coefficient overflows on its own window.
+        """
+        rng = np.random.default_rng(1)
+        c0 = 1.0 + rng.normal(size=60)
+        y = 1e150 * (10.0 + 3.0 * c0 + 0.3 * rng.normal(size=60))
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("week,y,c\n" + "".join(
+            f"{w},{v!r},{u!r}\n" for w, v, u in zip(range(1, 61), y.tolist(), (1e-200 * c0).tolist())))
+        series = [(scaled_series(tmp_path / "tiny.csv", 1e150, 1e-200), "coefficient"),
+                  (scaled_series(tmp_path / "se.csv", 1e150, 10**-159.22),
+                   "coefficient" if command == ["arx"] else "standard error"),
+                  (baseline, "coefficient")]
+        for path, what in series:
+            code, text = invoke([*command, "--data", str(path), "--intervention-week", "30",
+                                 "--confounders", "c", "--format", fmt])
+            assert (code, text) == (1, "")
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: design column 'c' is too small for the outcome: its {what} overflows"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_undefined_number_cell(self, value):

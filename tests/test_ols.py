@@ -377,16 +377,19 @@ class TestNonFiniteRss:
             with pytest.raises(FitError, match="^the outcome is too large"):
                 fit_ols(self.design(y))
 
-    def test_coefficient_that_overflows_names_its_column(self):
-        """y near 1e151 on a column near 1e-200: the RSS is finite, but beta_c near 1e350 is not."""
+    @pytest.mark.parametrize("scale, what", [(1e-200, "coefficient"), (10**-159.22, "standard error")],
+                             ids=["coefficient", "standard-error"])
+    def test_coefficient_that_overflows_names_its_column(self, scale, what):
+        """y near 1e151, with a finite RSS. On a column of scale 1e-200, beta_c near 1e350 is not finite;
+        at 10^-159.22, beta_c near -1.6e308 is, but its standard error is not."""
         rng = np.random.default_rng(0)
-        y, c = 1e150 * (10.0 + rng.normal(size=60)), 1e-200 * (1.0 + rng.normal(size=60))
+        y, c = 1e150 * (10.0 + rng.normal(size=60)), scale * (1.0 + rng.normal(size=60))
         d = make_design(np.column_stack([np.ones(60), np.arange(1.0, 61.0), c]), y,
                         ["intercept", "time", "c"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FitError, match="^design column 'c' is too small for the outcome: "
-                                               "its coefficient overflows$"):
+                                               f"its {what} overflows$"):
                 fit_ols(d)
 
     def test_largest_outcome_with_a_finite_rss_fits(self, rng):
