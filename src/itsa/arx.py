@@ -23,7 +23,7 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box_statistic
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import EPS, check_coefficients, check_rank, check_rss, dependent_columns, exact_fit_bound
+from .ols import EPS, check_coefficients, check_exact, check_rank, check_rss, dependent_columns, exact_fit_bound
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -212,7 +212,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     rows = np.arange(m)  # the member in each row of the stack
     final: list = [None] * m  # each member's state when it stopped
     while True:
-        if rss.min() <= exact:
+        if rss.min() <= exact:  # an exact fit, unless its squares underflowed
+            check_exact(e[rss.argmin()], y, ne)
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
         top = stacked[..., :ne]
         ar_x = np.einsum("ij,ikjt->ikt", theta[:, big_k:], x_lags[:, :, 1:])

@@ -271,10 +271,10 @@ def _cmd_effect(args) -> tuple[dict | None, str]:
     if args.week is not None:
         estimate = effect_mod.effect_at(fit, design, args.week, args.ci_level)
         rel = ("undefined" if math.isnan(estimate.relative_change)
-               else f"{estimate.relative_change:.1f}%")
+               else f"{_fmt(estimate.relative_change, 1)}%")
         ci = ("" if math.isnan(estimate.ci_lower)
               else f"  {args.ci_level * 100:g}% CI "
-                   f"({estimate.ci_lower:.1f}%, {estimate.ci_upper:.1f}%)")
+                   f"({_fmt(estimate.ci_lower, 1)}%, {_fmt(estimate.ci_upper, 1)}%)")
         return _effect_json(estimate), (
             f"week {estimate.week}: observed={_fmt(estimate.observed)} "
             f"fitted={_fmt(estimate.fitted)} "
@@ -289,7 +289,7 @@ def _cmd_effect(args) -> tuple[dict | None, str]:
         return None, _csv([e.week for e in series.estimates],
                           {name: [getattr(e, name) for e in series.estimates] for name in names})
     mean_rel = ("undefined" if math.isnan(series.mean_relative_change)
-                else f"{series.mean_relative_change:.1f}%")
+                else f"{_fmt(series.mean_relative_change, 1)}%")
     stab = ("not reached" if series.weeks_to_stabilization is None
             else f"week {series.stabilization_week} ({series.weeks_to_stabilization} weeks in)")
     payload = {"estimates": [_effect_json(e) for e in series.estimates],

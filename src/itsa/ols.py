@@ -6,13 +6,13 @@ its first k columns are X's R factor and its last is Q'y. A design is
 rank deficient when a column's distance from the span of the columns
 before it is tiny relative to the column's own norm, a test that does
 not depend on the columns' scales; the first such column is reported by
-name instead of silently producing garbage. The RSS is R[k, k]^2: one within
-the rounding of y is an exact fit (unbounded likelihood, undefined t and p),
-and one that is not finite is refused with its cause; the ARX fits share these
-rules. Inference uses the unbiased residual variance: the covariance is held as
-its factor F = sigma R^-1 and the standard errors are F's row norms, so no
-column's scale underflows them. Residuals and inference are computed on first
-read, p-values on each read. The deviance uses the Gaussian MLE variance.
+name instead of silently producing garbage. The RSS is R[k, k]^2: one within the
+rounding of y is an exact fit (unbounded likelihood, undefined t and p); one
+there only by underflow, or not finite, is refused with its cause. The ARX fits
+share these rules. Inference uses the unbiased residual variance: the covariance
+is held as its factor F = sigma R^-1 and the standard errors are F's row norms,
+so no column's scale underflows them. Residuals and inference are computed on
+first read, p-values on each read. The deviance uses the Gaussian MLE variance.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     """Fit the design by one R-only QR of [X | y], whose R[k, k]^2 is the RSS.
 
     Raises `FitError` naming the first column that depends linearly on the columns before it,
-    or whose coefficient, else standard error, overflows, or the cause of an RSS that is not finite.
+    or whose coefficient, else standard error, overflows, or the cause of an RSS not finite or underflowed.
     """
     x, y, names = design.matrix, design.outcome, design.column_names
     n, k = x.shape
@@ -93,6 +93,8 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     r_inv = np.linalg.inv(r[:k, :k])  # LU of a triangular R swaps no rows: a triangular inverse
     rss = float(r[k, k]) * float(r[k, k])  # |R[k, k]| = |y - X beta|; a product overflows to inf where ** raises
     check_rss(rss, design, names)
+    if exact := rss <= exact_fit_bound(y, n):
+        check_exact(r[k:, k], y, n)  # |R[k, k]| is the residual norm
     sigma = math.sqrt(rss / (n - k))  # F = sigma R^-1: unbiased sigma2 (X'X)^-1 = F F', as (X'X)^-1 = R^-1 R^-T
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -102,7 +104,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
             check_coefficients(names, (r_inv @ r[:k, k]).tolist())
             check_coefficients(names, np.hypot.reduce(sigma * r_inv, axis=1).tolist(), "standard error")
         raise
-    deviance = -math.inf if rss <= exact_fit_bound(y, n) else n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
+    deviance = -math.inf if exact else n * (math.log(2.0 * math.pi * (rss / n)) + 1.0)
 
     return OlsFit(
         coefficients=dict(zip(names, beta.tolist())),
@@ -149,6 +151,13 @@ def exact_fit_bound(y: np.ndarray, rows: int) -> float:
     """
     scale = 10.0 * EPS * float(np.abs(y).max())
     return rows * max(TINY, scale * scale)
+
+
+def check_exact(residuals: np.ndarray, y: np.ndarray, rows: int) -> None:
+    """Raise `FitError` for a fit whose RSS is within `exact_fit_bound` only because its squares underflowed."""
+    scale = 10.0 * max(EPS * float(np.abs(y).max()), 5e-324)  # 10 ulps of max|y|, subnormal or not
+    if scale * scale < TINY and np.hypot.reduce(residuals) > math.sqrt(rows) * scale:
+        raise FitError("the outcome is too small: the sum of squares of its residuals underflows")
 
 
 def check_rss(rss: float, design: DesignMatrix, names) -> None:

@@ -9,7 +9,8 @@ Every subcommand runs in process through `run()`, with `--format json`:
 
 - the exit code is 0 or 1;
 - an exit of 1 writes exactly one `error: ...` line to stderr;
-- JSON written on an exit of 0 parses strictly;
+- JSON written on an exit of 0 parses strictly, and the same command's table
+  holds no number of 16 or more digits (1e15 and up are written as .3e);
 - no exception leaves `run()`.
 
 pytest turns a RuntimeWarning into an error, so numerics that overflow or take
@@ -17,18 +18,15 @@ an invalid value fail a case too. The draws are derandomized and their number
 fixed, so the suite is deterministic.
 """
 
-import contextlib
-import io
 import pathlib
+import re
 import tempfile
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from itsa.cli import run
-
-from test_cli import strict_json
+from test_cli_series import run_in_process, strict_json
 
 EXAMPLES = 100
 CONFOUNDER_KINDS = ("normal", "constant", "collinear", "spike")
@@ -98,18 +96,21 @@ LINE_CASE = (
 )
 
 
-def run_in_process(argv):
-    """Exit code, stdout and stderr of one `run()`."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run(argv, out=out)
-    return code, out.getvalue(), err.getvalue()
+def jump_case():
+    """60 weeks of y = 1 + 0.01 N(0, 1) before week 30 and 1e20 (1 + 0.01 N(0, 1)) from it: its relative
+    changes are near 2e17%, which the effect table once wrote in fixed point (default_rng(0))."""
+    rng = np.random.default_rng(0)
+    before, after = 1.0 + 0.01 * rng.normal(size=(2, 60))
+    y = np.where(np.arange(1, 61) >= 30, 1e20 * after, before)
+    text = "week,y\n" + "".join(f"{w},{v!r}\n" for w, v in zip(range(1, 61), y.tolist()))
+    return text, ["--intervention-week", "30", "--format", "json"], {"week": "45", "output": "out.csv"}
 
 
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cli_cases())
 @example(LINE_CASE)
+@example(jump_case())
 def test_every_subcommand_exits_0_or_1_with_one_error_line(case):
     text, flags, fields = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,3 +126,5 @@ def test_every_subcommand_exits_0_or_1_with_one_error_line(case):
                 assert len(errors) == 1, (argv, err)
             elif command in JSON_COMMANDS:
                 strict_json(out)
+                code, out, _ = run_in_process([*argv, "--format", "table"])
+                assert code == 0 and not re.search(r"\d{16}", out), (argv, out)
