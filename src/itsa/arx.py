@@ -23,7 +23,8 @@ from .design import DesignMatrix
 from .diagnostics import ljung_box_statistic
 from .distributions import chi_square_quantile, chi_square_sf
 from .errors import FitError
-from .ols import EPS, check_coefficients, check_exact, check_rank, check_rss, dependent_columns, exact_fit_bound
+from .ols import (EPS, check_coefficients, check_exact, check_rank, check_rss, dependent_columns,
+                  exact_fit_bound, r_factor)
 
 # Convergence is judged by the relative offset |J d| / |e| of the Gauss-Newton
 # step d (Bates & Watts 1981): the share of the residual norm the linearized
@@ -182,7 +183,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     stacked[:, :big_k, :n] = x
     stacked[:, :big_k, n:] = pad[:, :big_k, :big_k]
     stacked[:, big_k, :n] = y
-    r = np.linalg.qr(stacked.mT, mode="r")
+    r = r_factor(stacked.mT)
     check_rank(r[:, :big_k, :big_k], [spec.exogenous_columns for spec in specs])
     theta = np.zeros((m, q))
     theta[:, :big_k] = np.linalg.solve(r[:, :big_k, :big_k], r[:, :big_k, big_k:])[..., 0]
@@ -220,7 +221,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         np.subtract(x_lags[:, :, 0], ar_x, out=top[:, :big_k])
         np.multiply(u[:, 1:], lag_on[..., None], out=top[:, big_k:q])
         top[:, q] = e
-        r = np.linalg.qr(stacked.mT, mode="r")
+        r = r_factor(stacked.mT)
         r_j, qte = r[:, :q, :q], r[:, :q, q]
         offset = np.sqrt(np.einsum("ij,ij->i", qte, qte) / rss)  # |J d| / |e| for the Gauss-Newton d
         gram = r.mT @ r  # [J'J, -J'e; -e'J, e'e]

@@ -3,9 +3,9 @@
 Builds the regressor matrix for an interrupted time series: intercept,
 time, a 0/1 intervention indicator, a post-intervention trend counter,
 and any confounders, in a fixed column order so coefficient tables are
-reproducible. The matrix is column-major, so each column is one
-contiguous array. The time origin can be moved by an integer (`recode_time`);
-the shift changes only the intercept's interpretation.
+reproducible. The matrix is column-major and filled in place, one
+contiguous column at a time. The time origin can be moved by an integer
+(`recode_time`); the shift changes only the intercept's interpretation.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class DesignMatrix:
             raise DesignError("outcome/week length does not match the matrix")
         if INTERCEPT in self.column_names:
             ones = self.column(INTERCEPT)
-            if not np.all(ones == 1.0):
+            if not (ones == 1.0).all():
                 raise DesignError("intercept column must be all ones")
 
     @property
@@ -119,11 +119,10 @@ def build_design(
         raise DesignError(
             f"effective changepoint {changepoint} is before the first week {dataset.weeks[0]}"
         )
-    columns = [np.ones(len(weeks))]
-    columns += [DERIVED_COLUMNS[name](weeks, changepoint)
-                for name in ("baseline trend", "level change", "trend change")]
-    columns += [dataset.covariate(name) for name in confounders]
-    matrix = np.array(columns).T  # the transpose of a row per column: column-major
+    matrix = np.empty((len(weeks), 4 + len(confounders)), order="F")  # column-major, filled in place
+    matrix[:, 0] = 1.0
+    for j, name in enumerate(("baseline trend", "level change", "trend change", *confounders), 1):
+        matrix[:, j] = DERIVED_COLUMNS[name](weeks, changepoint) if j < 4 else dataset.covariate(name)
     matrix.flags.writeable = weeks.flags.writeable = False  # so a fit's residuals, read later, hold
     return DesignMatrix(
         matrix=matrix,

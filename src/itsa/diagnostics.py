@@ -84,12 +84,14 @@ def dw_p_value(d: float, design: DesignMatrix) -> DwResult:
 
 
 def _autocorrelations(series, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations at lags 1..max_lag (biased 1/n denominator) of each series on the
-    last axis, each lag summed one row at a time: a row of a stack gets the bits it gets alone."""
+    """Sample autocorrelations at lags 1..max_lag (biased 1/n denominator) of each series on the last axis,
+    each lag summed one row at a time: a row of a stack gets the bits it gets alone. As in `durbin_watson`,
+    each series is first scaled exactly, by a power of two, to a largest magnitude in [0.5, 1)."""
     y = np.asarray(series, dtype=float)
     n = y.shape[-1]
     if not 1 <= max_lag < n:
         raise FitError(f"max_lag must lie in [1, {n - 1}], got {max_lag}")
+    y = np.ldexp(y, -np.frexp(abs(y).max(axis=-1, keepdims=True))[1])
     yc = y - y.mean(axis=-1, keepdims=True)
     denom = np.vecdot(yc, yc)
     if (denom == 0.0).any():

@@ -51,20 +51,20 @@ class EffectSeries:
     weeks_to_stabilization: int | None
 
 
-def _model_matrices(fit, design: DesignMatrix):
-    """Coefficients, their rows of F, method tag, model matrix, and its intervention-column mask.
+def _model_matrices(fit, design: DesignMatrix, rows=slice(None)):
+    """Coefficients, their rows of F, method tag, the model matrix's `rows`, and its intervention-column mask.
 
     An effect is what the fit's intervention terms add, so a fit with none is refused.
     """
     names = tuple(fit.coefficients)  # OLS and ARX fits alike: the factor has these rows first
-    k = len(names)
     intervention_columns = design.intervention_columns
     intervention = np.array([name in intervention_columns for name in names])
     if not intervention.any():
         raise DesignError(f"an effect needs a fit with an intervention term, but none of its "
                           f"coefficients {list(names)} is an intervention column of the design")
     method = "ols" if isinstance(fit, OlsFit) else "arx"
-    return fit.beta, fit.covariance_factor[:k], method, design.columns(names), intervention
+    model = design.matrix[rows][:, [design.column_index(name) for name in names]]  # rows first: copy only those
+    return fit.beta, fit.covariance_factor[: len(names)], method, model, intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
@@ -82,9 +82,7 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
     """
     if not 0.0 < ci_level < 1.0:
         raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
-    beta, factor, method, model, intervention = _model_matrices(fit, design)
-    rows = np.asarray(rows, dtype=int)
-    model_rows = model[rows]
+    beta, factor, method, model_rows, intervention = _model_matrices(fit, design, rows)
     cf_rows = np.where(intervention, 0.0, model_rows)  # intervention columns zeroed
     intervention_part = np.where(intervention, model_rows, 0.0)
 

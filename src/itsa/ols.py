@@ -1,7 +1,8 @@
 """Ordinary least squares for segmented regression.
 
 Coefficients are solved through one unpivoted QR factorization of
-[X | y] rather than the normal equations. Only its R factor is formed:
+[X | y] rather than the normal equations. Only its R factor is formed,
+read from LAPACK's raw Householder output with the bits of NumPy's mode "r":
 its first k columns are X's R factor and its last is Q'y. A design is
 rank deficient when a column's distance from the span of the columns
 before it is tiny relative to the column's own norm, a test that does
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
 
     xy = np.empty((n, k + 1), order="F")
     xy[:, :k], xy[:, k] = x, y
-    r = np.linalg.qr(xy, mode="r")  # [R | Q'y]: X's R factor, then y projected on Q
+    r = r_factor(xy)  # [R | Q'y]: X's R factor, then y projected on Q
     check_rank(r[:k, :k], names)
 
     r_inv = np.linalg.inv(r[:k, :k])  # LU of a triangular R swaps no rows: a triangular inverse
@@ -118,6 +119,20 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     )
 
 
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """R of the QR of `a` or of each matrix of a stack: the bits of NumPy's QR in mode "r", less its `triu`."""
+    h = np.linalg.qr(a, mode="raw")[0].mT  # LAPACK's output in a's shape: R on and above the diagonal
+    rows = min(h.shape[-2:])
+    return np.where(_upper_triangle(rows, h.shape[-1]), h[..., :rows, :], 0.0)
+
+
+@cache
+def _upper_triangle(rows: int, columns: int) -> np.ndarray:
+    mask = np.triu(np.ones((rows, columns), dtype=bool))  # one read-only mask per size
+    mask.flags.writeable = False
+    return mask
+
+
 def dependent_columns(r: np.ndarray) -> np.ndarray:
     """Mask of the columns of a QR factor R (or a stack of them) with |R_jj| tiny against their norm.
 
@@ -127,7 +142,7 @@ def dependent_columns(r: np.ndarray) -> np.ndarray:
     scale; a distance below the smallest normal float has lost its precision.
     """
     tolerance = np.maximum(RANK_TOLERANCE * np.hypot.reduce(r, axis=-2), TINY)
-    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)) <= tolerance
+    return abs(r.diagonal(axis1=-2, axis2=-1)) <= tolerance
 
 
 def check_rank(r: np.ndarray, names) -> None:

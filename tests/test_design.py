@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itsa
-from itsa.dataset import TimeSeriesDataset
+from itsa.dataset import DERIVED_COLUMNS, TimeSeriesDataset
 from itsa.design import (
     DesignMatrix,
     InterventionSpec,
@@ -90,6 +90,18 @@ class TestBuildDesign:
         assert np.array_equal(d.column("time_after"), indicator * (time - spec.effective_week + 1))
         assert np.array_equal(d.column("c"), ds.covariate("c"))
         assert np.array_equal(d.outcome, ds.outcome)
+
+    @pytest.mark.parametrize("confounders", [[], ["discharges", "occupancy", "admissions"]])
+    def test_matrix_is_the_columns_stacked_bit_for_bit(self, case_study_module, confounders):
+        """The ones, the three derived codings, then the confounders, in one read-only column-major matrix."""
+        d = build_design(case_study_module, InterventionSpec(53, lag_weeks=3), confounders)
+        weeks = case_study_module.weeks.astype(float)
+        derived = [DERIVED_COLUMNS[name](weeks, 56) for name in ("baseline trend", "level change", "trend change")]
+        expected = np.column_stack([np.ones(len(weeks)), *derived,
+                                    *(case_study_module.covariate(name) for name in confounders)])
+        assert d.matrix.tobytes(order="F") == expected.tobytes(order="F")
+        assert d.matrix.shape == expected.shape
+        assert d.matrix.flags.f_contiguous and not d.matrix.flags.writeable
 
     def test_lag_shifts_effective_changepoint(self, case_study_module):
         d = build_design(case_study_module, InterventionSpec(53, lag_weeks=1), [])

@@ -182,6 +182,18 @@ class TestAcf:
         with pytest.raises(FitError, match="constant"):
             acf(np.full(20, 3.0), 2)
 
+    @pytest.mark.parametrize("exponent", [-540, -510, 500, 511])
+    def test_any_finite_scale(self, exponent):
+        """The ACF and Ljung-Box Q do not depend on scale: their sums of products lost bits to subnormals
+        at 2**-510, underflowed to "a constant series" at 2**-540 and overflowed at 2**511."""
+        e = np.random.default_rng(3).normal(size=80)
+        scaled = np.ldexp(e, exponent)  # exact
+        assert acf(scaled, 10).correlations == acf(e, 10).correlations
+        assert ljung_box(scaled, 10) == ljung_box(e, 10)
+        stack = np.stack([e, -e[::-1]])
+        q = ljung_box_statistic(np.ldexp(stack, exponent), 10)
+        assert q.tobytes() == ljung_box_statistic(stack, 10).tobytes()
+
     def test_correlations_bounded(self, rng):
         result = acf(rng.normal(size=50), 10)
         assert all(-1.0 <= r <= 1.0 for r in result.correlations)

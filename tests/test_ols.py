@@ -12,7 +12,8 @@ import itsa
 from itsa.dataset import TimeSeriesDataset
 from itsa.distributions import student_t_two_sided_p
 from itsa.errors import FitError
-from itsa.ols import EPS, TINY, exact_fit_bound, fit_ols, gaussian_deviance, linear_predictor
+from itsa.ols import (EPS, TINY, _upper_triangle, exact_fit_bound, fit_ols, gaussian_deviance, linear_predictor,
+                      r_factor)
 
 from conftest import make_design
 
@@ -171,6 +172,32 @@ class TestSolveParity:
     def test_zero_outcome_has_zero_rss(self, case_study):
         for design in self.scan(case_study, 53):
             assert fit_ols(replace(design, outcome=np.zeros(design.n))).rss == 0.0
+
+
+class TestRFactor:
+    """`r_factor` gives the bits of `np.linalg.qr(a, mode="r")`, signs of zeros and memory layout included."""
+
+    def assert_mode_r(self, a):
+        r, expected = r_factor(a), np.linalg.qr(a, mode="r")
+        assert np.array_equal(r, expected) and np.array_equal(np.signbit(r), np.signbit(expected))
+        assert r.shape == expected.shape and r.strides == expected.strides
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_tall_matrix(self, rng, order):
+        self.assert_mode_r(np.asarray(rng.normal(size=(156, 8)), order=order))
+
+    def test_square_matrix(self, rng):
+        self.assert_mode_r(rng.normal(size=(8, 8)))
+
+    def test_stack_of_transposed_members(self, rng):
+        self.assert_mode_r(rng.normal(size=(20, 8, 118)).mT)  # the view `_fit_stack` factors
+
+    def test_mask_is_cached_and_read_only(self, rng):
+        r_factor(rng.normal(size=(156, 8)))
+        mask = _upper_triangle(8, 8)
+        assert mask is _upper_triangle(8, 8) and not mask.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mask[1, 0] = True
 
 
 class TestComputedOnRead:
