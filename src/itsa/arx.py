@@ -9,6 +9,8 @@ Estimation maximizes the Gaussian likelihood conditional on the first
 p observations, with the innovation variance profiled out analytically.
 Intervention significance is assessed by a likelihood-ratio test
 between a baseline model (no intervention columns) and the full model.
+The Newton iteration runs on the R factor of the lag pool, the lags of y
+and of the exogenous columns, so its work does not grow with n.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     and gradients are exactly zero there. Each member keeps its own step
     halving, iteration count and stopping test, and leaves the stack when it
     stops. No specs give no fits.
+
+    Every vector the iteration builds over the n_e weeks after `cond` (the filtered X, the lagged
+    errors, e) is a combination of the lag pool's columns, lags 0..P of y and of each distinct column,
+    and so are its inner products, R factors and steps. The pool is factored once and the iteration
+    runs on its R factor's columns, of min(n_e, (P+1)(1+c)) entries for c columns; the weekly residuals
+    are computed once, at the end. Results equal the weekly computation up to rounding, not bit for bit.
     """
     if not specs:
         return []
@@ -161,26 +169,30 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     big_p = max(spec.order for spec in specs)
     q = big_k + big_p
     ne = n - cond
-    # Matrices are held transposed, a row per column, so that every column is contiguous.
-    x = np.zeros((m, big_k, n))
+    # Matrices are held transposed, a row per column, so that every column is contiguous. z holds y, then
+    # the distinct columns, each scaled by a power of two, which is exact, to below 1, so that R'R cannot
+    # overflow, then the zeros of an absent slot.
+    columns = list(dict.fromkeys(name for spec in specs for name in spec.exogenous_columns))
+    z = np.vstack([y, design.columns(columns).T, np.zeros(n)])
+    scale = np.frexp(np.abs(z[1:]).max(axis=-1))[1]  # of z[1:], so a row of z has scale[row - 1]
+    z[1:] = np.ldexp(z[1:], -scale[:, None])
+    slot = np.full((m, big_k), len(z) - 1)  # each member's row of z in each slot
     active = np.zeros((m, q), dtype=bool)
     for i, spec in enumerate(specs):
         p, k = spec.order, len(spec.exogenous_columns)
         if cond < p:
             raise FitError(f"conditioning window {cond} is smaller than the order {p}")
-        x[i, :k] = design.columns(spec.exogenous_columns).T
+        slot[i, :k] = [columns.index(name) + 1 for name in spec.exogenous_columns]
         if n <= 2 * (p + k):
             raise FitError(f"{spec.label} needs n > 2(p + k) observations: n={n}, p={p}, k={k}")
         active[i, :k] = True
         active[i, big_k : big_k + p] = True
     pad = np.eye(q) * ~active[:, None, :]  # D: a unit row per absent slot
-    # each column scaled by a power of two, which is exact, to below 1, so that R'R cannot overflow
-    shift = np.pad(np.frexp(np.abs(x).max(axis=-1))[1], ((0, 0), (0, big_p)))  # 0 on the lag slots
-    x = np.ldexp(x, -shift[:, :big_k, None])
+    shift = np.concatenate([scale[slot - 1], np.zeros((m, big_p), dtype=int)], axis=1)  # 0 on the lag slots
 
     # the plain-OLS start, from the R factor of [X; D | y; 0]
     stacked = np.zeros((m, big_k + 1, n + big_k))
-    stacked[:, :big_k, :n] = x
+    stacked[:, :big_k, :n] = z[slot]
     stacked[:, :big_k, n:] = pad[:, :big_k, :big_k]
     stacked[:, big_k, :n] = y
     r = r_factor(stacked.mT)
@@ -188,22 +200,26 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     theta = np.zeros((m, q))
     theta[:, :big_k] = np.linalg.solve(r[:, :big_k, :big_k], r[:, :big_k, big_k:])[..., 0]
 
-    y_lags, x_lags = _lagged(y, big_p, cond), _lagged(x, big_p, cond)
+    lagged = _lagged(z, big_p, cond)
+    pool = r_factor(lagged[:-1].reshape(-1, ne).T)  # the lag pool's R: its columns stand for the weeks
+    compressed = np.zeros((len(z), big_p + 1, len(pool)))
+    compressed[:-1] = pool.T.reshape(len(z) - 1, big_p + 1, -1)
+    y_lags, x_lags, nr = compressed[0], compressed[slot], len(pool)
 
-    def residuals(theta, x_lags):
+    def residuals(theta, y_lags, x_lags):
         """Lagged regression errors u_{t-j} (j = 0..P) and one-step residuals e_t of each row."""
         xb = theta[:, None, :big_k] @ x_lags.reshape(len(theta), big_k, -1)
-        u = y_lags - xb.reshape(len(theta), big_p + 1, ne)
+        u = y_lags - xb.reshape(len(theta), big_p + 1, -1)
         return u, u[:, 0] - np.einsum("ij,ijt->it", theta[:, big_k:], u[:, 1:])
 
     # Newton steps from the OLS point, or the Gauss-Newton step where the exact
     # RSS Hessian J'J + C is not positive definite. A step is halved while it
     # raises the RSS by more than the rounding of a sum of n_e squares, so that
     # steps too small for the RSS to register are still taken whole.
-    stacked = np.zeros((m, q + 1, ne + q))  # [-J; D | e; 0]'; each iteration rewrites the first ne entries
-    stacked[:, :q, ne:] = pad
+    stacked = np.zeros((m, q + 1, nr + q))  # [-J; D | e; 0]'; each iteration rewrites the first nr entries
+    stacked[:, :q, nr:] = pad
     lag_on = active[:, big_k:].astype(float)
-    u, e = residuals(theta, x_lags)
+    u, e = residuals(theta, y_lags, x_lags)
     rss = np.einsum("ij,ij->i", e, e)
     check_rss(float(rss.max()), design, [name for spec in specs for name in spec.exogenous_columns])
     exact = exact_fit_bound(y, ne)
@@ -216,7 +232,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         if rss.min() <= exact:  # an exact fit, unless its squares underflowed
             check_exact(e[rss.argmin()], y, ne)
             raise FitError("the model fits the data exactly; the likelihood is unbounded")
-        top = stacked[..., :ne]
+        top = stacked[..., :nr]
         ar_x = np.einsum("ij,ikjt->ikt", theta[:, big_k:], x_lags[:, :, 1:])
         np.subtract(x_lags[:, :, 0], ar_x, out=top[:, :big_k])
         np.multiply(u[:, 1:], lag_on[..., None], out=top[:, big_k:q])
@@ -233,15 +249,14 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         stop = stuck | (offset <= STOP_TOLERANCE) | (iterations == MAX_ITERATIONS)
         if stop.any():
             for s in np.flatnonzero(stop):
-                final[rows[s]] = (theta[s], e[s], rss[s], iterations[s], offset[s], stuck[s],
-                                  hessian[s], minus_g[s])
+                final[rows[s]] = (theta[s], iterations[s], offset[s], stuck[s], hessian[s], minus_g[s])
+            if stop.all():
+                break
             go = ~stop
             rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked, r_j, qte, hessian, minus_g = (
                 a[go] for a in (rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked,
                                 r_j, qte, hessian, minus_g)
             )
-            if not rows.size:
-                break
         try:
             np.linalg.cholesky(hessian)  # raises unless every member's is positive definite
             step = np.linalg.solve(hessian, minus_g[..., None])[..., 0]
@@ -253,7 +268,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
 
         for _ in range(MAX_HALVINGS):
             trial = theta + step
-            u_new, e_new = residuals(trial, x_lags)
+            u_new, e_new = residuals(trial, y_lags, x_lags)
             rss_new = np.einsum("ij,ij->i", e_new, e_new)
             lower = rss_new <= rss * rounding
             if lower.all():
@@ -266,7 +281,9 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         theta, u, e, rss = trial, u_new, e_new, rss_new
         iterations += ~stuck
 
-    theta, e, rss, iterations, offset, stuck, rss_hessian, minus_g = map(np.array, zip(*final))
+    theta, iterations, offset, stuck, rss_hessian, minus_g = map(np.array, zip(*final))
+    e = residuals(theta, lagged[0], lagged[slot])[1]  # over the weeks, once
+    rss = np.einsum("ij,ij->i", e, e)
     stop_reasons = np.where(stuck, "no_descent",
                             np.where(offset <= STOP_TOLERANCE, "offset", "max_iterations")).tolist()
     # sigma2 times the exact Hessian of the profiled negative log-likelihood is J'J + C - 2 w w' for
@@ -279,15 +296,16 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         theta_rows, rss_list = np.ldexp(theta, -shift).tolist(), rss.tolist()
     for spec, row in zip(specs, theta_rows):
         check_coefficients(spec.exogenous_columns, row)
-    stationary = _stationary(theta[:, big_k:])
+    factors = np.where(active[:, :, None] & active[:, None, :], factors, 0.0)  # each member's own slots
+    se = np.hypot.reduce(factors, axis=2)  # as hypot(a, 0) = |a|, the row norm over the own slots
+    se[~np.isfinite(factors).all(axis=(1, 2))] = math.nan
+    se_rows, stationary = se.tolist(), _stationary(theta[:, big_k:]).tolist()
     fitted = y[cond:] - e
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns
         k = len(names)
         keep = [*range(k), *range(big_k, big_k + p)]
-        factor = factors[i].take(keep, axis=0).take(keep, axis=1)  # own slots; its rows are 0 elsewhere
-        se = np.hypot.reduce(factor, axis=1) if np.isfinite(factor).all() else np.full(k + p, math.nan)
         se_names = list(names) + [f"phi{j}" for j in range(1, p + 1)]
         if not stationary[i]:
             warnings.warn(
@@ -302,8 +320,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 exogenous_columns=names,
                 phi=tuple(theta_rows[i][big_k : big_k + p]),
                 coefficients=dict(zip(names, theta_rows[i][:k])),
-                standard_errors=dict(zip(se_names, se.tolist())),
-                covariance_factor=factor,
+                standard_errors=dict(zip(se_names, [se_rows[i][j] for j in keep])),
+                covariance_factor=factors[i].take(keep, axis=0).take(keep, axis=1),
                 sigma2=rss_i / ne,
                 deviance=ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0),
                 residuals=e[i],
@@ -314,7 +332,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 n=n,
                 conditioning=cond,
                 param_count=p + k + 1,
-                stationary=bool(stationary[i]),
+                stationary=stationary[i],
             )
         )
     return fits
@@ -383,9 +401,9 @@ def select_baseline(
     comparable, then ranked by BIC among fits whose residuals pass a
     Ljung-Box whiteness check (WHITENESS_LAGS lags, p > WHITENESS_ALPHA).
     The whole grid is fitted as one stack, each candidate to the result
-    `fit_arx` gives it alone, and scored in one Ljung-Box pass, each to
-    the p-value `ljung_box` gives it alone. The winner is refit on its own
-    natural window before being returned.
+    `fit_arx` gives it alone up to rounding, and scored in one Ljung-Box
+    pass, each to the p-value `ljung_box` gives it alone. The winner is
+    refit on its own natural window before being returned.
     """
     if max_order < 0:
         raise FitError(f"max_order must be non-negative, got {max_order}")

@@ -22,7 +22,7 @@ from itsa.arx import (
 from itsa.cli import _candidate_sets
 from itsa.diagnostics import ljung_box
 from itsa.errors import FitError
-from itsa.ols import fit_ols, gaussian_deviance
+from itsa.ols import fit_ols, gaussian_deviance, r_factor
 
 from conftest import make_design
 
@@ -55,8 +55,40 @@ def simulate_segmented_arx1(seed, n=2000, phi=0.5):
     )
 
 
-def negll_gradient(design, fit, theta):
-    """Analytic gradient of the profiled negative log-likelihood, written out directly."""
+def ar1_errors(rng, n, phi):
+    u = np.zeros(n)
+    for t in range(1, n):
+        u[t] = phi * u[t - 1] + rng.normal()
+    return u
+
+
+def confounded_series(n, seed=2000):
+    """Weeks 1..n of an intercept, three confounders a, b, c and AR(1) errors with phi 0.5."""
+    rng = np.random.default_rng(seed)
+    confounders = 50.0 + rng.normal(size=(n, 3)) * [10.0, 8.0, 5.0]
+    y = 5.0 + confounders @ [0.3, -0.2, 0.8] + ar1_errors(rng, n, 0.5)
+    return make_design(np.column_stack([np.ones(n), confounders]), y, ["intercept", "a", "b", "c"])
+
+
+def wide_pool_design():
+    """30 weeks of an intercept and 7 columns: with orders 0..3, a lag pool of 4 x 9 columns over 27 weeks."""
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(30, 7))
+    names = ("intercept", *(f"x{i}" for i in range(1, 8)))
+    y = 2.0 + x @ np.linspace(0.5, -0.5, 7) + ar1_errors(rng, 30, 0.4)
+    return make_design(np.column_stack([np.ones(30), x]), y, names), [("intercept",), names]
+
+
+def trend_design():
+    """80 weeks of a trend: the lags of `time` are `time` less multiples of `intercept`, a dependent pool."""
+    weeks = np.arange(1.0, 81.0)
+    y = 10.0 + 0.3 * weeks + ar1_errors(np.random.default_rng(7), 80, 0.6)
+    design = make_design(np.column_stack([np.ones(80), weeks]), y, ["intercept", "time"])
+    return design, [("intercept", "time")]
+
+
+def weekly_jacobian(design, fit, theta):
+    """The Jacobian de/dtheta and the residuals e over the weeks after conditioning, written out directly."""
     x = np.column_stack([design.column(c) for c in fit.exogenous_columns])
     y = design.outcome
     n, k = x.shape
@@ -66,7 +98,12 @@ def negll_gradient(design, fit, theta):
     e = u[cond:] - sum(ph * u[cond - j : n - j] for j, ph in enumerate(phi, start=1))
     de_dbeta = -x[cond:] + sum(ph * x[cond - j : n - j] for j, ph in enumerate(phi, start=1))
     de_dphi = [-u[cond - j : n - j] for j in range(1, len(phi) + 1)]
-    jac = np.column_stack([de_dbeta, *de_dphi])
+    return np.column_stack([de_dbeta, *de_dphi]), e
+
+
+def negll_gradient(design, fit, theta):
+    """Analytic gradient of the profiled negative log-likelihood, written out directly."""
+    jac, e = weekly_jacobian(design, fit, theta)
     return jac.T @ e / np.mean(e**2)
 
 
@@ -468,6 +505,44 @@ class TestNewtonSteps:
         assert fit.converged and fit.stop_reason == "offset"
         assert fit.deviance == pytest.approx(reference.deviance, rel=1e-12, abs=0.0)
 
+    def test_cli_shaped_grid_at_n_2000(self):
+        """Orders 0..3 x the CLI's five column sets on 2 000 weeks, pinned as fitted at commit 0af358e.
+
+        There every Newton pass factored its matrices over all 1 997 weeks; now it works in the lag
+        pool's coordinates, which leaves each member's steps and stopping test as they were.
+        """
+        design = confounded_series(2000)
+        specs = [ArxSpec(p, columns) for columns in _candidate_sets(("a", "b", "c")) for p in range(4)]
+        fits = _fit_stack(design, specs, 3)
+        steps = [1, 3, 3, 3, 1, 2, 2, 2, 1, 3, 3, 3, 1, 3, 3, 3, 1, 3, 3, 3]  # per candidate
+        assert [fit.iterations for fit in fits] == steps
+        assert [fit.stop_reason for fit in fits] == ["offset"] * 20
+        deviances = [
+            12399.439770796098, 12397.857890126697, 12397.573038429606, 12397.338703037038,
+            11669.949830575073, 11669.325604444512, 11669.1896040585, 11669.154237475157,
+            12200.298719319146, 12199.383951487904, 12199.335408010964, 12198.494313857751,
+            10806.766719701167, 10789.48930950364, 10786.044985584282, 10785.230597741362,
+            6287.777706508058, 5694.08013344831, 5694.0801119948865, 5692.838926976372,
+        ]
+        assert [fit.deviance for fit in fits] == pytest.approx(deviances, rel=1e-12, abs=0.0)
+
+    def test_newton_pass_work_does_not_grow_with_n(self, monkeypatch):
+        """After the OLS start and the lag pool, each pass factors (P+1)(1+c) + q rows at most, at any n."""
+        specs = [ArxSpec(p, ("intercept", "c")) for p in range(3)]  # P = 2, c = 2 columns, q = 4 slots
+        passes = {}
+        for n in (200, 5000):
+            shapes = []
+
+            def recorder(a):
+                shapes.append(a.shape)
+                return r_factor(a)
+
+            monkeypatch.setattr("itsa.arx.r_factor", recorder)
+            _fit_stack(confounded_series(n), specs, 2)
+            assert shapes[:2] == [(3, n + 2, 3), (n - 2, 9)]  # the OLS start, then the pool of 3 x 3 lags
+            passes[n] = {shape[-2:] for shape in shapes[2:]}
+        assert passes[200] == passes[5000] == {(13, 5)}
+
 
 class TestStackedFits:
     """`select_baseline` fits its grid as one stack; each member must be its own fit."""
@@ -498,6 +573,16 @@ class TestStackedFits:
         design, specs = cli_grid
         for spec, stacked in zip(specs, _fit_stack(design, specs, 3)):
             self.assert_same_fit(stacked, fit_arx(design, spec, conditioning=3))
+
+    @pytest.mark.parametrize("case", [wide_pool_design, trend_design], ids=["wider_than_window", "dependent"])
+    def test_lag_pool_edge_cases(self, case):
+        """Each member of orders 0..3 is its own fit, with J'e over the weeks zero at its estimate."""
+        design, candidates = case()
+        specs = [ArxSpec(p, columns) for columns in candidates for p in range(4)]
+        for spec, stacked in zip(specs, _fit_stack(design, specs, 3)):
+            self.assert_same_fit(stacked, fit_arx(design, spec, conditioning=3))
+            jac, e = weekly_jacobian(design, stacked, np.concatenate([stacked.beta, stacked.phi]))
+            assert np.linalg.norm(jac.T @ e) < 1e-8 * np.linalg.norm(jac) * np.linalg.norm(e)
 
     def test_gauss_newton_fallback_stays_with_its_member(self):
         """Only the autoregressive fits on intercept + x start with an indefinite Hessian."""
