@@ -10,14 +10,16 @@ p observations, with the innovation variance profiled out analytically.
 Intervention significance is assessed by a likelihood-ratio test
 between a baseline model (no intervention columns) and the full model.
 The Newton iteration runs on the R factor of the lag pool, the lags of y
-and of the exogenous columns, so its work does not grow with n.
+and of the exogenous columns, so its work does not grow with n. A fit's
+covariance factor and standard errors are computed on first read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,14 +62,12 @@ class ArxSpec:
 
 @dataclass(frozen=True)
 class ArxFit:
-    """Conditional-ML estimate of an ARX(p) model."""
+    """Conditional-ML estimate of an ARX(p) model; `covariance_factor` and `standard_errors` on first read."""
 
     order: int
     exogenous_columns: tuple[str, ...]
     phi: tuple[float, ...]
     coefficients: dict[str, float]  # the exogenous coefficients by name
-    standard_errors: dict[str, float]  # keys: exogenous names and "phi1".."phip"
-    covariance_factor: np.ndarray  # F F' is the inverse observed information, order (exogenous..., phi...)
     sigma2: float
     deviance: float  # -2 x conditional log-likelihood at the profiled sigma2
     residuals: np.ndarray  # one-step conditional residuals, length n - conditioning
@@ -79,10 +79,25 @@ class ArxFit:
     conditioning: int  # initial observations held fixed (>= order)
     param_count: int  # order + exogenous + innovation variance
     stationary: bool
+    _information: tuple = field(repr=False)  # padded information matrix, each slot's shift, the kept slots
 
     @property
     def beta(self) -> np.ndarray:
         return np.array([self.coefficients[c] for c in self.exogenous_columns])
+
+    @cached_property
+    def covariance_factor(self) -> np.ndarray:
+        """F with F F' the inverse observed information, order (exogenous..., phi...); NaN where it has none."""
+        information, shift, keep = self._information
+        with np.errstate(over="ignore"):  # a factor that overflows gets NaN se
+            factor = np.ldexp(math.sqrt(self.sigma2) * _inverse_factor(information), -shift[:, None])
+        return factor.take(keep, axis=0).take(keep, axis=1)
+
+    @cached_property
+    def standard_errors(self) -> dict[str, float]:  # keys: exogenous names and "phi1".."phip"
+        factor = self.covariance_factor
+        se = np.hypot.reduce(factor, axis=1) if np.isfinite(factor).all() else np.full(len(factor), math.nan)
+        return dict(zip([*self.exogenous_columns, *(f"phi{j}" for j in range(1, self.order + 1))], se.tolist()))
 
     @property
     def label(self) -> str:
@@ -287,26 +302,21 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     stop_reasons = np.where(stuck, "no_descent",
                             np.where(offset <= STOP_TOLERANCE, "offset", "max_iterations")).tolist()
     # sigma2 times the exact Hessian of the profiled negative log-likelihood is J'J + C - 2 w w' for
-    # w = J'e / sqrt(rss) (identity on the absent block); with U its Cholesky factor, F = sigma U^-1,
-    # rows scaled back to the columns' scales. Neither sigma2 nor J'e is squared to overflow or underflow.
+    # w = J'e / sqrt(rss) (identity on the absent block); with U its Cholesky factor, a fit's covariance
+    # factor is F = sigma U^-1, rows scaled back to the columns' scales, on first read. Neither sigma2
+    # nor J'e is squared to overflow or underflow.
     w = minus_g / np.sqrt(rss)[:, None]
     information = rss_hessian - 2.0 * w[:, :, None] * w[:, None, :]
-    with np.errstate(over="ignore"):  # a coefficient that overflowed is refused below, a factor gets NaN se
-        factors = np.ldexp(np.sqrt(rss / ne)[:, None, None] * _inverse_factor(information), -shift[:, :, None])
+    with np.errstate(over="ignore"):  # a coefficient that overflowed is refused below
         theta_rows, rss_list = np.ldexp(theta, -shift).tolist(), rss.tolist()
     for spec, row in zip(specs, theta_rows):
         check_coefficients(spec.exogenous_columns, row)
-    factors = np.where(active[:, :, None] & active[:, None, :], factors, 0.0)  # each member's own slots
-    se = np.hypot.reduce(factors, axis=2)  # as hypot(a, 0) = |a|, the row norm over the own slots
-    se[~np.isfinite(factors).all(axis=(1, 2))] = math.nan
-    se_rows, stationary = se.tolist(), _stationary(theta[:, big_k:]).tolist()
+    stationary = _stationary(theta[:, big_k:]).tolist()
     fitted = y[cond:] - e
     fits = []
     for i, spec in enumerate(specs):
         p, names = spec.order, spec.exogenous_columns
         k = len(names)
-        keep = [*range(k), *range(big_k, big_k + p)]
-        se_names = list(names) + [f"phi{j}" for j in range(1, p + 1)]
         if not stationary[i]:
             warnings.warn(
                 f"{spec.label} has an autoregressive root at or inside the unit circle; "
@@ -320,8 +330,6 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 exogenous_columns=names,
                 phi=tuple(theta_rows[i][big_k : big_k + p]),
                 coefficients=dict(zip(names, theta_rows[i][:k])),
-                standard_errors=dict(zip(se_names, [se_rows[i][j] for j in keep])),
-                covariance_factor=factors[i].take(keep, axis=0).take(keep, axis=1),
                 sigma2=rss_i / ne,
                 deviance=ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0),
                 residuals=e[i],
@@ -333,6 +341,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 conditioning=cond,
                 param_count=p + k + 1,
                 stationary=stationary[i],
+                _information=(information[i], shift[i], np.flatnonzero(active[i])),
             )
         )
     return fits
@@ -352,13 +361,11 @@ def _step(hessian: np.ndarray, minus_g: np.ndarray, r: np.ndarray, qte: np.ndarr
 
 
 def _inverse_factor(a: np.ndarray) -> np.ndarray:
-    """U^-1 for U the upper Cholesky factor of each matrix in the stack; all NaN where it has none."""
+    """U^-1 for U the upper Cholesky factor of `a`; all NaN where it has none."""
     try:
         return np.linalg.inv(np.linalg.cholesky(a, upper=True))  # a triangular inverse
     except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return np.full_like(a, math.nan)
-        return np.stack([_inverse_factor(one) for one in a])
+        return np.full_like(a, math.nan)
 
 
 def _lagged(z: np.ndarray, p: int, cond: int) -> np.ndarray:

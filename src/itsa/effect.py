@@ -52,11 +52,11 @@ class EffectSeries:
 
 
 def _model_matrices(fit, design: DesignMatrix, rows=slice(None)):
-    """Coefficients, their rows of F, method tag, the model matrix's `rows`, and its intervention-column mask.
+    """Coefficients, method tag, the model matrix's `rows`, and its intervention-column mask.
 
     An effect is what the fit's intervention terms add, so a fit with none is refused.
     """
-    names = tuple(fit.coefficients)  # OLS and ARX fits alike: the factor has these rows first
+    names = tuple(fit.coefficients)  # OLS and ARX fits alike
     intervention_columns = design.intervention_columns
     intervention = np.array([name in intervention_columns for name in names])
     if not intervention.any():
@@ -64,12 +64,12 @@ def _model_matrices(fit, design: DesignMatrix, rows=slice(None)):
                           f"coefficients {list(names)} is an intervention column of the design")
     method = "ols" if isinstance(fit, OlsFit) else "arx"
     model = design.matrix[rows][:, [design.column_index(name) for name in names]]  # rows first: copy only those
-    return fit.beta, fit.covariance_factor[: len(names)], method, model, intervention
+    return fit.beta, method, model, intervention
 
 
 def counterfactual_series(fit, design: DesignMatrix) -> np.ndarray:
     """Linear predictions with the intervention columns zeroed everywhere."""
-    beta, _, _, model, intervention = _model_matrices(fit, design)
+    beta, _, model, intervention = _model_matrices(fit, design)
     return linear_predictor(np.where(intervention, 0.0, model), beta)
 
 
@@ -82,7 +82,8 @@ def _estimates(fit, design: DesignMatrix, rows, ci_level: float) -> tuple[Effect
     """
     if not 0.0 < ci_level < 1.0:
         raise FitError(f"ci_level must lie in (0, 1), got {ci_level}")
-    beta, factor, method, model_rows, intervention = _model_matrices(fit, design, rows)
+    beta, method, model_rows, intervention = _model_matrices(fit, design, rows)
+    factor = fit.covariance_factor[: len(beta)]  # OLS and ARX fits alike: the coefficients' rows first
     cf_rows = np.where(intervention, 0.0, model_rows)  # intervention columns zeroed
     intervention_part = np.where(intervention, model_rows, 0.0)
 

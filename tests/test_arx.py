@@ -639,38 +639,43 @@ class TestStackedFits:
         """Only a NaN factor or a non-finite factor entry on a member's own slots empties its se.
 
         Slots: a member's own columns, padding up to 4 columns, then phi1..phi3; member 4c + p
-        is column set c at order p.
+        is column set c at order p. A member's U^-1 is computed when its factor is first read,
+        so the patch, keyed by member, is active for that read.
         """
         design, specs = cli_grid
+        edits = {
+            5: [(..., math.nan)],  # ARX(1) intercept+admissions: as for information not positive definite
+            0: [((2, 2), math.inf)],  # ARX(0) intercept: a slot it lacks
+            10: [((0, 4), math.inf)],  # ARX(2) intercept+discharges: its (intercept, phi1) entry
+            12: [((2, 3), math.nan),  # ARX(0) intercept+occupancy: the row of a slot it lacks
+                 ((1, 3), math.inf)],  # and the column of one, in its occupancy row
+        }
         inverse_factor = itsa.arx._inverse_factor
+        for i, (spec, stacked) in enumerate(zip(specs, _fit_stack(design, specs, 3))):
 
-        def patched(a):
-            out = inverse_factor(a)
-            out[5] = math.nan  # ARX(1) intercept+admissions: as for information not positive definite
-            out[0, 2, 2] = math.inf  # ARX(0) intercept: a slot it lacks
-            out[10, 0, 4] = math.inf  # ARX(2) intercept+discharges: its (intercept, phi1) entry
-            out[12, 2, 3] = math.nan  # ARX(0) intercept+occupancy: the row of a slot it lacks
-            out[12, 1, 3] = math.inf  # and the column of one, in its occupancy row
-            return out
+            def patched(a, member_edits=edits.get(i, [])):
+                out = inverse_factor(a)
+                for index, value in member_edits:
+                    out[index] = value
+                return out
 
-        monkeypatch.setattr("itsa.arx._inverse_factor", patched)
-        fits = _fit_stack(design, specs, 3)
-        monkeypatch.undo()
-        for i, (spec, stacked) in enumerate(zip(specs, fits)):
+            monkeypatch.setattr("itsa.arx._inverse_factor", patched)
+            factor, se = stacked.covariance_factor, stacked.standard_errors
+            monkeypatch.undo()
             alone = fit_arx(design, spec, conditioning=3)
             size = len(spec.exogenous_columns) + spec.order
-            assert stacked.covariance_factor.shape == (size, size)
-            assert list(stacked.standard_errors) == list(alone.standard_errors)
+            assert factor.shape == (size, size)
+            assert list(se) == list(alone.standard_errors)
             assert stacked.deviance == pytest.approx(alone.deviance, rel=1e-12, abs=0.0)
             if i == 5:
-                assert np.isnan(stacked.covariance_factor).all()
-                assert all(math.isnan(se) for se in stacked.standard_errors.values())
+                assert np.isnan(factor).all()
+                assert all(math.isnan(value) for value in se.values())
             elif i == 10:
-                assert stacked.covariance_factor[0, 2] == math.inf
-                assert all(math.isnan(se) for se in stacked.standard_errors.values())
+                assert factor[0, 2] == math.inf
+                assert all(math.isnan(value) for value in se.values())
             else:
                 self.assert_same_fit(stacked, alone)
-                assert stacked.covariance_factor == pytest.approx(alone.covariance_factor, rel=1e-9)
+                assert factor == pytest.approx(alone.covariance_factor, rel=1e-9)
 
     def test_nonstationary_member_warns_once(self, rng):
         n = 120
@@ -707,6 +712,57 @@ class TestStackedFits:
         with pytest.warns(UserWarning, match="unit circle") as caught:
             fit_arx(design, ArxSpec(1, ("intercept",)))
         assert caught[0].filename == __file__
+
+
+class TestInferenceOnRead:
+    """An `ArxFit` computes its covariance factor and standard errors when first read."""
+
+    @staticmethod
+    def session_fits(case_study):
+        """The CLI's selection grid with all confounders, and the `fit_nested` pair on its best fit."""
+        confounders = ("admissions", "discharges", "occupancy")
+        design = itsa.build_design(case_study, itsa.InterventionSpec(53), list(confounders))
+        selection = select_baseline(design, 3, _candidate_sets(confounders))
+        return selection, fit_nested(design, selection.best, design.intervention_columns)
+
+    def test_factor_is_computed_once_on_first_read(self, case_study, monkeypatch):
+        calls = []
+        inverse_factor = itsa.arx._inverse_factor
+
+        def recorder(a):
+            calls.append(a.shape)
+            return inverse_factor(a)
+
+        monkeypatch.setattr("itsa.arx._inverse_factor", recorder)
+        selection, nested = self.session_fits(case_study)
+        assert len(selection.trace) == 20 and len(nested) == 2 and calls == []
+        for fit, first, second in ((selection.best, "standard_errors", "covariance_factor"),
+                                   (nested[-1], "covariance_factor", "standard_errors")):
+            getattr(fit, first)
+            assert len(calls) == 1
+            getattr(fit, second), getattr(fit, first), getattr(fit, second)
+            assert len(calls) == 1
+            calls.clear()
+        assert "covariance_factor" not in repr(nested[-1]) and "standard_errors" not in repr(nested[-1])
+
+    def test_factor_and_se_equal_the_batched_computation(self, case_study):
+        """Each fit's factor and se have the bits of one batched computation over its stack."""
+        selection, nested = self.session_fits(case_study)
+        for fits in ([rec.fit for rec in selection.trace], nested):
+            information, shift, keep = zip(*(fit._information for fit in fits))
+            sigma = np.sqrt(np.array([fit.sigma2 for fit in fits]))
+            active = np.zeros(np.shape(shift), dtype=bool)
+            for row, slots in zip(active, keep):
+                row[slots] = True
+            with np.errstate(over="ignore"):
+                factors = np.ldexp(sigma[:, None, None] * np.linalg.inv(np.linalg.cholesky(
+                    np.stack(information), upper=True)), -np.array(shift)[:, :, None])
+            factors = np.where(active[:, :, None] & active[:, None, :], factors, 0.0)
+            se = np.hypot.reduce(factors, axis=2)
+            se[~np.isfinite(factors).all(axis=(1, 2))] = math.nan
+            for fit, factor, row, slots in zip(fits, factors, se, keep):
+                assert np.array_equal(fit.covariance_factor, factor.take(slots, axis=0).take(slots, axis=1))
+                assert np.array_equal(list(fit.standard_errors.values()), row[slots])
 
 
 class TestFitNested:
