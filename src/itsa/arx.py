@@ -160,14 +160,12 @@ def fit_nested(design: DesignMatrix, fit: ArxFit, columns: tuple[str, ...]) -> l
 def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[ArxFit]:
     """Fit every spec on the rows after the first `cond` as one stacked Newton iteration.
 
-    Each member's parameters sit in one padded layout (beta_1..beta_K,
-    phi_1..phi_P): its own columns and lags first, zeros in the slots it
-    lacks. Its Jacobian J gets one extra row per absent slot, that slot's
-    unit vector, with a 0 residual, so the R factor of [J; D | e; 0] holds
-    the member's own R and Q'e, with an identity on the absent block: steps
-    and gradients are exactly zero there. Each member keeps its own step
-    halving, iteration count and stopping test, and leaves the stack when it
-    stops. No specs give no fits.
+    Each member's parameters sit in one padded layout (beta_1..beta_K, phi_1..phi_P): its own columns and
+    lags first, zeros in the slots it lacks. Its arrays hold 0 for those slots' columns and lags, so its
+    Jacobian J is 0 there with no mask. J gets one extra row per absent slot, that slot's unit vector, with
+    a 0 residual, so the R factor of [J; D | e; 0] holds the member's own R and Q'e, with an identity on the
+    absent block: steps and gradients are exactly zero there. Each member keeps its own step halving,
+    iteration count and stopping test, and leaves the stack when it stops. No specs give no fits.
 
     Every vector the iteration builds over the n_e weeks after `cond` (the filtered X, the lagged
     errors, e) is a combination of the lag pool's columns, lags 0..P of y and of each distinct column,
@@ -191,18 +189,17 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     z = np.vstack([y, design.columns(columns).T, np.zeros(n)])
     scale = np.frexp(np.abs(z[1:]).max(axis=-1))[1]  # of z[1:], so a row of z has scale[row - 1]
     z[1:] = np.ldexp(z[1:], -scale[:, None])
-    slot = np.full((m, big_k), len(z) - 1)  # each member's row of z in each slot
-    active = np.zeros((m, q), dtype=bool)
-    for i, spec in enumerate(specs):
+    slot = []  # each member's row of z in each slot
+    for spec in specs:
         p, k = spec.order, len(spec.exogenous_columns)
         if cond < p:
             raise FitError(f"conditioning window {cond} is smaller than the order {p}")
-        slot[i, :k] = [columns.index(name) + 1 for name in spec.exogenous_columns]
+        slot.append([columns.index(name) + 1 for name in spec.exogenous_columns] + [len(z) - 1] * (big_k - k))
         if n <= 2 * (p + k):
             raise FitError(f"{spec.label} needs n > 2(p + k) observations: n={n}, p={p}, k={k}")
-        active[i, :k] = True
-        active[i, big_k : big_k + p] = True
-    pad = np.eye(q) * ~active[:, None, :]  # D: a unit row per absent slot
+    slot = np.array(slot)
+    lag_on = np.arange(big_p + 1)[:, None] <= np.array([spec.order for spec in specs])[:, None, None]
+    pad = np.eye(q) * np.hstack([slot == len(z) - 1, ~lag_on[:, 1:, 0]])[:, None]  # D: absent slots' rows
     shift = np.concatenate([scale[slot - 1], np.zeros((m, big_p), dtype=int)], axis=1)  # 0 on the lag slots
 
     # the plain-OLS start, from the R factor of [X; D | y; 0]
@@ -219,7 +216,8 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     pool = r_factor(lagged[:-1].reshape(-1, ne).T)  # the lag pool's R: its columns stand for the weeks
     compressed = np.zeros((len(z), big_p + 1, len(pool)))
     compressed[:-1] = pool.T.reshape(len(z) - 1, big_p + 1, -1)
-    y_lags, x_lags, nr = compressed[0], compressed[slot], len(pool)
+    y_lags, x_lags = np.where(lag_on, compressed[0], 0.0), np.where(lag_on[:, None], compressed[slot], 0.0)
+    nr = len(pool)
 
     def residuals(theta, y_lags, x_lags):
         """Lagged regression errors u_{t-j} (j = 0..P) and one-step residuals e_t of each row."""
@@ -233,7 +231,6 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     # steps too small for the RSS to register are still taken whole.
     stacked = np.zeros((m, q + 1, nr + q))  # [-J; D | e; 0]'; each iteration rewrites the first nr entries
     stacked[:, :q, nr:] = pad
-    lag_on = active[:, big_k:].astype(float)
     u, e = residuals(theta, y_lags, x_lags)
     rss = np.einsum("ij,ij->i", e, e)
     check_rss(float(rss.max()), design, [name for spec in specs for name in spec.exogenous_columns])
@@ -250,7 +247,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         top = stacked[..., :nr]
         ar_x = np.einsum("ij,ikjt->ikt", theta[:, big_k:], x_lags[:, :, 1:])
         np.subtract(x_lags[:, :, 0], ar_x, out=top[:, :big_k])
-        np.multiply(u[:, 1:], lag_on[..., None], out=top[:, big_k:q])
+        top[:, big_k:q] = u[:, 1:]
         top[:, q] = e
         r = r_factor(stacked.mT)
         r_j, qte = r[:, :q, :q], r[:, :q, q]
@@ -258,7 +255,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
         gram = r.mT @ r  # [J'J, -J'e; -e'J, e'e]
         hessian, minus_g = gram[:, :q, :q], gram[:, :q, q]  # half the RSS Hessian J'J + C, and -J'e
         # C: d2e_t / dbeta dphi_j = +x_{t-j}
-        hessian[:, :big_k, big_k:] += (x_lags[:, :, 1:] @ e[:, None, :, None])[..., 0] * lag_on[:, None]
+        hessian[:, :big_k, big_k:] += (x_lags[:, :, 1:] @ e[:, None, :, None])[..., 0]
         hessian[:, big_k:, :big_k] = hessian[:, :big_k, big_k:].mT
 
         stop = stuck | (offset <= STOP_TOLERANCE) | (iterations == MAX_ITERATIONS)
@@ -268,14 +265,14 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
             if stop.all():
                 break
             go = ~stop
-            rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked, r_j, qte, hessian, minus_g = (
-                a[go] for a in (rows, theta, u, e, rss, iterations, x_lags, lag_on, stacked,
-                                r_j, qte, hessian, minus_g)
+            rows, theta, u, e, rss, iterations, y_lags, x_lags, stacked, r, gram = (
+                a[go] for a in (rows, theta, u, e, rss, iterations, y_lags, x_lags, stacked, r, gram)
             )
+            r_j, qte, hessian, minus_g = r[:, :q, :q], r[:, :q, q], gram[:, :q, :q], gram[:, :q, q]
         try:
             np.linalg.cholesky(hessian)  # raises unless every member's is positive definite
             step = np.linalg.solve(hessian, minus_g[..., None])[..., 0]
-            singular = np.zeros(len(rows), dtype=bool)
+            singular = False
         except np.linalg.LinAlgError:  # each member's own step
             steps = [_step(*member) for member in zip(hessian, minus_g, r_j, qte)]
             singular = np.array([s is None for s in steps])  # no step: the member stops as "no_descent"
@@ -312,6 +309,7 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
     for spec, row in zip(specs, theta_rows):
         check_coefficients(spec.exogenous_columns, row)
     stationary = _stationary(theta[:, big_k:]).tolist()
+    converged, iterations = (offset <= OFFSET_TOLERANCE).tolist(), iterations.tolist()
     fitted = y[cond:] - e
     fits = []
     for i, spec in enumerate(specs):
@@ -334,14 +332,14 @@ def _fit_stack(design: DesignMatrix, specs: list[ArxSpec], cond: int) -> list[Ar
                 deviance=ne * (math.log(2.0 * math.pi * rss_i / ne) + 1.0),
                 residuals=e[i],
                 fitted=fitted[i],
-                converged=bool(offset[i] <= OFFSET_TOLERANCE),
-                iterations=int(iterations[i]),
+                converged=converged[i],
+                iterations=iterations[i],
                 stop_reason=stop_reasons[i],
                 n=n,
                 conditioning=cond,
                 param_count=p + k + 1,
                 stationary=stationary[i],
-                _information=(information[i], shift[i], np.flatnonzero(active[i])),
+                _information=(information[i], shift[i], [*range(k), *range(big_k, big_k + p)]),
             )
         )
     return fits

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from . import arx as arx_mod
 from . import dataset as dataset_mod
@@ -122,12 +123,33 @@ def _number(value: float) -> float | None:
 
 
 def _csv(weeks, columns: dict) -> str:
-    """CSV text: a week column, then each column at .6g, with NaN as a blank cell."""
+    """CSV text of lists of floats: a week column, then each column at .6g, with NaN as a blank cell."""
     lines = [",".join(["week", *columns])]
     for week, *row in zip(weeks, *columns.values()):
         cells = ["" if math.isnan(v) else f"{v:.6g}" for v in row]
         lines.append(",".join([str(int(week)), *cells]))
     return "\n".join(lines) + "\n"
+
+
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, allow_nan=False)` of a payload's str-keyed dicts, lists, tuples, str, int,
+    float, bool and None, byte for byte, without the slower pure-Python encoder CPython indents with."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, (int, float)):
+        return (int.__repr__ if isinstance(value, int) else float.__repr__)(value)
+    inner, (start, end) = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" if items else start + end
 
 
 def _cmd_validate(args) -> tuple[None, str]:
@@ -314,7 +336,7 @@ def _cmd_export(args) -> tuple[None, str]:
         columns["arx_fitted"] = arx_mod.predict_arx(full)  # NaN: no lagged errors yet
 
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(_csv(design.weeks, columns))
+        fh.write(_csv(design.weeks.tolist(), {name: column.tolist() for name, column in columns.items()}))
     # The confirmation goes to the console: `out` carries a command's result, which is the file.
     sys.stdout.write(f"wrote {design.n} rows to {args.output}\n")
     return None, ""
@@ -393,7 +415,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
             _check_settings(args)
             payload, text = args.handler(args)
             if payload is not None and args.output_format == "json":
-                text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+                text = _json(payload) + "\n"
             out.write(text)
         except (ItsaError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -584,6 +584,24 @@ class TestStackedFits:
             jac, e = weekly_jacobian(design, stacked, np.concatenate([stacked.beta, stacked.phi]))
             assert np.linalg.norm(jac.T @ e) < 1e-8 * np.linalg.norm(jac) * np.linalg.norm(e)
 
+    def test_absent_slots_stay_inert(self, cli_grid):
+        """A member's information matrix is the identity on the slots it lacks and 0 between those and its own.
+
+        Its lags beyond its order are 0 in its lag arrays and its absent columns a zero row, so only the
+        unit rows D reach those slots. Its kept slots are its columns, then its lags, as its fit alone has them.
+        """
+        design, specs = cli_grid
+        for spec, stacked in zip(specs, _fit_stack(design, specs, 3)):
+            information, shift, keep = stacked._information
+            k, p = len(spec.exogenous_columns), spec.order
+            absent = [s for s in range(len(information)) if s not in keep]
+            assert list(keep) == [*range(k), *range(4, 4 + p)] and len(absent) == 7 - k - p  # 4 column and 3 lag slots
+            assert np.array_equal(information[np.ix_(absent, absent)], np.eye(len(absent)))
+            assert not information[np.ix_(absent, keep)].any() and not information[np.ix_(keep, absent)].any()
+            alone, alone_shift, alone_keep = fit_arx(design, spec, conditioning=3)._information
+            assert list(alone_keep) == list(range(k + p)) and np.array_equal(shift[keep], alone_shift)
+            np.testing.assert_allclose(information[np.ix_(keep, keep)], alone, rtol=1e-9, atol=0.0)
+
     def test_gauss_newton_fallback_stays_with_its_member(self):
         """Only the autoregressive fits on intercept + x start with an indefinite Hessian."""
         design, specs = lagged_response_design(seed=16), self.LAGGED_GRID

@@ -457,20 +457,26 @@ class TestEffectCommand:
         assert f"  {label} (" in text
 
     def test_undefined_relative_change_is_null(self, tmp_path, rng):
-        """Weeks with a non-positive counterfactual write null, never NaN, in the JSON."""
+        """Weeks with a non-positive counterfactual write null, never NaN, in the JSON; in the CSV
+        their relative_change cell, and only theirs, is blank."""
         weeks = np.arange(1, 61)
         # the counterfactual 12 - 0.3 * week crosses zero at week 40, inside the post period
         y = 12.0 - 0.3 * weeks + 5.0 * (weeks >= 21) + 0.2 * rng.normal(size=weeks.size)
         path = tmp_path / "crossing.csv"
         path.write_text("week,y\n" + "".join(f"{w},{v!r}\n" for w, v in zip(weeks, y.tolist())))
-        code, text = invoke(["effect", "--data", str(path), "--intervention-week", "21",
-                             "--format", "json"])
+        argv = ["effect", "--data", str(path), "--intervention-week", "21", "--format"]
+        code, text = invoke([*argv, "json"])
         assert code == 0
         estimates = strict_json(text)["estimates"]
         undefined = [e for e in estimates if e["method"] == "ols:relative-undefined"]
         assert undefined and len(undefined) < len(estimates)
         for e in undefined:
             assert e["relative_change"] is None and e["ci"] == [None, None]
+        code, text = invoke([*argv, "csv"])
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert code == 0 and header[-1] == "relative_change"
+        assert [int(row[0]) for row in rows] == [e["week"] for e in estimates]
+        assert [int(row[0]) for row in rows if row[-1] == ""] == [e["week"] for e in undefined]
 
     def test_ci_does_not_depend_on_a_column_scale(self, tmp_path, capsys):
         """c x 1e-200 gives scale 1's CI with nothing on stderr, where the covariance overflowed."""

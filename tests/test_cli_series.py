@@ -9,6 +9,8 @@
 - The built-in case study through the commands a user runs first.
 - Residuals of alternating sign near 1e153, which no scale of the property's
   series reaches.
+- The CLI's JSON writer is `json.dumps(indent=2, allow_nan=False)` byte for
+  byte, and refuses NaN and infinities as it does.
 
 The module imports nothing from the other tests, so the same checks run
 against an installed package: copy it out of the checkout and run pytest on
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itsa.cli import run
+from itsa.cli import _json, run
 
 FLAGS = ["--intervention-week", "30", "--confounders", "c"]
 COMMANDS = {"data summary": ["data", "summary"], "fit": ["fit"], "diagnose": ["diagnose"], "arx": ["arx"],
@@ -182,3 +184,34 @@ def test_residuals_near_1e153_exit_0(tmp_path):
                                      "--format", "json"])
     assert (code, err) == (0, "")
     assert strict_json(out)["dw"]["stat"] == pytest.approx(3.9333, abs=1e-4)
+
+
+# JSON values as payloads hold them, and more: non-ASCII, quote and control characters, ints beyond 64 bits,
+# the float range's edges, tuples and empty containers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**80) | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.7e308, -1.7e308, 0.1, 1e-7]),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(value=JSON_VALUES)
+@example(value={"": [], "é\"\\\x00\n\u2028\U0001f600": {}, "t": (), "x": [-0.0, 5e-324, 2**64, None, True, False]})
+def test_json_writer_is_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(value=JSON_VALUES, bad=st.sampled_from([math.nan, math.inf, -math.inf]), depth=st.integers(0, 4),
+       key=st.text())
+def test_json_writer_refuses_non_finite_numbers(value, bad, depth, key):
+    """A NaN or an infinity anywhere, at the top or in lists, tuples and dicts, raises ValueError."""
+    for level in range(depth):
+        bad = [value, bad] if level % 3 == 0 else (bad, value) if level % 3 == 1 else {"k": value, key: bad}
+    for write in (_json, functools.partial(json.dumps, indent=2, allow_nan=False)):
+        with pytest.raises(ValueError):
+            write(bad)
